@@ -6,17 +6,15 @@ velocity-gradient reconstruction, a cell-list neighbor search, and
 conservation/trajectory diagnostics.
 """
 from .cloud import PointCloud, advance_history, apply_displacements, make_cloud
-from .diagnostics import DiagnosticsRecord, centroid, diameter, eps_dia, eps_volume, eps_x, hull_volume
+from .diagnostics import DiagnosticsRecord, centroid, eps_volume, eps_x, measure
 from .fields import (
     LinearField,
     Lissajous,
     ModulatedRotation,
     RigidRotation,
-    eval_lissajous,
-    eval_rotation,
     exact_lissajous_center,
 )
-from .gfdm import StencilFit, all_gradients, wlsq_gradient
+from .gfdm import all_gradients, wlsq_gradient
 from .movers import (
     MoveContext,
     MoverKind,
@@ -27,7 +25,7 @@ from .movers import (
     move_m3,
     move_m4,
 )
-from .neighbors import NeighborIndex, build_index, neighbors_of
+from .neighbors import NeighborIndex, build_index
 from .scenarios import (
     RunConfig,
     Scenario,

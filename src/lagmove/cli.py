@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -49,15 +48,6 @@ def write_sweep_csv(cells: list[scenarios.SweepCell], path: str) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def max_threads() -> int:
-    """Parallelism cap from the environment; execution here is sequential,
-    so any cap from LAGMOVE_THREADS is honored trivially."""
-    try:
-        return max(1, int(os.environ.get("LAGMOVE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -81,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--summary", default=None)
         p.add_argument("--stride", type=int, default=10)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="accepted and ignored: sampling is deterministic")
         p.add_argument("--n-points", type=int, default=222)
 
     p_run = sub.add_parser("run", help="run one scenario with one mover")
@@ -111,7 +102,6 @@ def _config(args, mover: str, dt: float) -> scenarios.RunConfig:
         gradient_mode=args.gradient,
         radius_factor=args.radius_factor,
         output_stride=args.stride,
-        seed=args.seed,
     )
 
 
@@ -157,14 +147,14 @@ def cmd_sweep(args) -> int:
     if args.out:
         write_sweep_csv(cells, args.out)
     for c in cells:
-        status = "FAILED" if c.failed else f"eps_dia={c.eps_dia:.6e} eps_V={c.eps_V:.6e}"
+        status = f"FAILED ({c.error})" if c.failed else f"eps_dia={c.eps_dia:.6e} eps_V={c.eps_V:.6e}"
         print(f"{c.mover} dt={_fmt(c.dt)}: {status}")
     if args.summary:
         with open(args.summary, "w") as f:
             json.dump(
                 [
                     {"mover": c.mover, "dt": c.dt, "eps_dia": c.eps_dia,
-                     "eps_x": c.eps_x, "eps_V": c.eps_V, "failed": c.failed}
+                     "eps_x": c.eps_x, "eps_V": c.eps_V, "failed": c.failed, "error": c.error}
                     for c in cells
                 ],
                 f,

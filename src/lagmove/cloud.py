@@ -1,8 +1,8 @@
 """Point-cloud state: positions, kinematic history and bookkeeping.
 
 Storage is structure-of-arrays: one (N, d) array per per-point field,
-index-aligned with the id array. Operations return new clouds; arrays of
-the input are never mutated.
+row i of each belonging to point i. Operations return new clouds; arrays
+of the input are never mutated.
 """
 from __future__ import annotations
 
@@ -15,13 +15,11 @@ from .errors import NumericInputError, StructuralError
 
 @dataclass(frozen=True)
 class PointCloud:
-    ids: np.ndarray                   # (N,) int64, unique
     positions: np.ndarray             # (N, d)
     velocities: np.ndarray            # (N, d), current level
     velocities_prev: np.ndarray       # (N, d), previous level
     grad_velocities: np.ndarray       # (N, d, d), current level
     grad_velocities_prev: np.ndarray  # (N, d, d), previous level
-    payload: np.ndarray               # (N,) transported scalar, constant in pure advection
     smoothing_length: float
     dt: float
     initial_time: float = 0.0
@@ -45,8 +43,6 @@ class PointCloud:
         n, d = self.positions.shape
         if d not in (2, 3):
             raise StructuralError(f"dimension must be 2 or 3, got {d}")
-        if len(np.unique(self.ids)) != n:
-            raise StructuralError("point ids are not unique")
         for name in ("positions", "velocities", "velocities_prev"):
             arr = getattr(self, name)
             if arr.shape != (n, d):
@@ -68,27 +64,19 @@ def make_cloud(
     *,
     smoothing_length: float,
     dt: float,
-    payload: np.ndarray | None = None,
-    initial_time: float = 0.0,
 ) -> PointCloud:
     """Build a fresh step-0 cloud (no history yet)."""
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
     grad_velocities = np.asarray(grad_velocities, dtype=float)
-    n = positions.shape[0]
-    if payload is None:
-        payload = np.zeros(n)
     cloud = PointCloud(
-        ids=np.arange(n, dtype=np.int64),
         positions=positions,
         velocities=velocities,
         velocities_prev=np.zeros_like(velocities),
         grad_velocities=grad_velocities,
         grad_velocities_prev=np.zeros_like(grad_velocities),
-        payload=np.asarray(payload, dtype=float),
         smoothing_length=smoothing_length,
         dt=dt,
-        initial_time=initial_time,
         step=0,
         has_history=False,
     )
@@ -112,7 +100,7 @@ def advance_history(
 ) -> PointCloud:
     """Shift the current velocity/gradient into history and install the new level.
 
-    Increments the step counter; time follows from it. Payload is untouched.
+    Increments the step counter; time follows from it.
     """
     n, d = cloud.positions.shape
     new_velocities = _check_aligned(cloud, new_velocities, (n, d), "new_velocities")

@@ -33,38 +33,21 @@ def centroid(cloud: PointCloud) -> np.ndarray:
     return cloud.positions.mean(axis=0)
 
 
-def _max_pairwise(points: np.ndarray) -> float:
-    diff = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+def measure(cloud: PointCloud) -> tuple[float, float]:
+    """Diameter and convex-hull measure (polygon area in 2D), from one hull.
 
-
-def diameter(cloud: PointCloud) -> float:
-    """Maximum pairwise distance; hull vertices only for large clouds."""
-    if cloud.n < 2:
-        raise StructuralError("diameter needs at least 2 points")
-    pts = cloud.positions
-    if cloud.n > 1000:
-        try:
-            pts = pts[ConvexHull(pts).vertices]
-        except QhullError:
-            pass  # degenerate clouds still have a diameter; fall through
-    return _max_pairwise(pts)
-
-
-def hull_volume(cloud: PointCloud) -> float:
-    """Convex-hull measure: polygon area in 2D, polyhedron volume in 3D."""
+    The farthest pair of a point set is a pair of hull vertices, so the
+    diameter is the maximum pairwise distance over the vertices alone.
+    """
     if cloud.n < cloud.dim + 1:
         raise DegenerateGeometryError("too few points for a full-dimensional hull")
     try:
-        return float(ConvexHull(cloud.positions).volume)
+        hull = ConvexHull(cloud.positions)
     except QhullError as exc:
         raise DegenerateGeometryError(f"degenerate point set: {exc}") from exc
-
-
-def eps_dia(cloud: PointCloud, d_exact: float) -> float:
-    if d_exact <= 0:
-        raise StructuralError("exact diameter must be positive")
-    return abs(diameter(cloud) - d_exact)
+    pts = cloud.positions[hull.vertices]
+    diff = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max())), float(hull.volume)
 
 
 def eps_x(cloud: PointCloud, x_exact: np.ndarray) -> float:

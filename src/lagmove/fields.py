@@ -56,16 +56,13 @@ class Lissajous:
         return np.zeros((x.shape[0], 2, 2))
 
 
-def exact_lissajous_center(t: float, start: np.ndarray | None = None) -> np.ndarray:
+def exact_lissajous_center(t: float) -> np.ndarray:
     """Closed-form trajectory of a tracer advected by the Lissajous field.
 
     For a start at the origin this is (3 sin(5t + pi/2) - 3, sin(4t)); any
     other start just translates the curve (the field is spatially constant).
     """
-    x = np.array([3.0 * np.sin(5.0 * t + np.pi / 2.0) - 3.0, np.sin(4.0 * t)])
-    if start is not None:
-        x = x + np.asarray(start, dtype=float)
-    return x
+    return np.array([3.0 * np.sin(5.0 * t + np.pi / 2.0) - 3.0, np.sin(4.0 * t)])
 
 
 @dataclass(frozen=True)
@@ -120,13 +117,3 @@ class ModulatedRotation:
         """Accumulated rotation angle: integral of omega(s) ds over [0, t]."""
         w = 2.0 * np.pi * self.modulation_freq
         return self.omega0 * (t + 0.5 * (1.0 - np.cos(w * t)) / w)
-
-
-def eval_rotation(x: np.ndarray, center: np.ndarray, omega: float) -> np.ndarray:
-    """Single-point rotation velocity; thin wrapper used by tests and docs."""
-    out = RigidRotation(center=tuple(np.asarray(center, dtype=float)), omega=omega)
-    return out.evaluate(np.asarray(x, dtype=float)[None, :], 0.0)[0]
-
-
-def eval_lissajous(t: float) -> np.ndarray:
-    return Lissajous().evaluate(np.zeros((1, 2)), t)[0]

@@ -3,7 +3,7 @@
 For point i with neighbors j the fitted matrix A minimizes
 
     sum_j w_j || v_j - v_i - A (x_j - x_i) ||^2 ,
-    w_j = exp(-c |x_j - x_i|^2 / h^2),   c = 6 by default,
+    w_j = exp(-c |x_j - x_i|^2 / h^2),   c = 6,
 
 solved through the d x d weighted normal equations, shared by all velocity
 components. A first-order fit reproduces any exactly-linear field.
@@ -11,7 +11,6 @@ components. A first-order fit reproduces any exactly-linear field.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,71 +20,47 @@ from .neighbors import NeighborIndex
 
 log = logging.getLogger(__name__)
 
-DEFAULT_WEIGHT_EXPONENT = 6.0
+WEIGHT_EXPONENT = 6.0
 CONDITION_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class StencilFit:
-    point_id: int
-    neighbor_ids: np.ndarray
-    weights: np.ndarray
-    condition: float
-    gradient: np.ndarray  # (d, d)
 
 
 def wlsq_gradient(
     cloud: PointCloud,
     index: NeighborIndex,
-    point_id: int,
-    *,
-    weight_exponent: float = DEFAULT_WEIGHT_EXPONENT,
-    condition_limit: float = CONDITION_LIMIT,
-) -> StencilFit:
-    where = np.flatnonzero(cloud.ids == point_id)
-    if where.size == 0:
-        raise StructuralError(f"unknown point id {point_id}")
-    i = where[0]
+    i: int,
+) -> np.ndarray:
+    """Fitted (d, d) gradient at row ``i`` of the cloud."""
+    if not 0 <= i < cloud.n:
+        raise StructuralError(f"no point at row {i}")
     d = cloud.dim
-    nbr_ids = index.lists[i]
-    if len(nbr_ids) < d:
+    j = index.lists[i]
+    if len(j) < d:
         raise StencilDeficiencyError(
-            f"point {point_id} has {len(nbr_ids)} neighbors, needs at least {d}"
+            f"point {i} has {len(j)} neighbors, needs at least {d}"
         )
-    # ids are 0..N-1 in cloud order, so neighbor ids index the arrays directly
-    j = np.searchsorted(cloud.ids, nbr_ids)
     dx = cloud.positions[j] - cloud.positions[i]
     dv = cloud.velocities[j] - cloud.velocities[i]
     h = cloud.smoothing_length
-    w = np.exp(-weight_exponent * np.einsum("ij,ij->i", dx, dx) / (h * h))
+    w = np.exp(-WEIGHT_EXPONENT * np.einsum("ij,ij->i", dx, dx) / (h * h))
 
     wdx = w[:, None] * dx
     m = dx.T @ wdx              # (d, d) normal matrix
     c = dv.T @ wdx              # (d, d) right-hand side, one row per velocity component
     cond = float(np.linalg.cond(m))
-    if not np.isfinite(cond) or cond > condition_limit:
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedStencilError(
-            f"stencil of point {point_id}: condition {cond:.3e} exceeds {condition_limit:.1e}"
+            f"stencil of point {i}: condition {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
         )
-    gradient = np.linalg.solve(m, c.T).T
-    return StencilFit(
-        point_id=int(point_id),
-        neighbor_ids=nbr_ids,
-        weights=w,
-        condition=cond,
-        gradient=gradient,
-    )
+    return np.linalg.solve(m, c.T).T
 
 
 def all_gradients(
     cloud: PointCloud,
     index: NeighborIndex,
     *,
-    weight_exponent: float = DEFAULT_WEIGHT_EXPONENT,
-    condition_limit: float = CONDITION_LIMIT,
     zero_fallback: bool = True,
 ) -> np.ndarray:
-    """Index-aligned (N, d, d) array of fitted gradients.
+    """Row-aligned (N, d, d) array of fitted gradients.
 
     Points with deficient or ill-conditioned stencils get a zero gradient
     (and a warning) when ``zero_fallback`` is set; the zero gradient
@@ -94,15 +69,9 @@ def all_gradients(
     """
     n, d = cloud.positions.shape
     out = np.zeros((n, d, d))
-    for i, pid in enumerate(cloud.ids):
+    for i in range(n):
         try:
-            out[i] = wlsq_gradient(
-                cloud,
-                index,
-                int(pid),
-                weight_exponent=weight_exponent,
-                condition_limit=condition_limit,
-            ).gradient
+            out[i] = wlsq_gradient(cloud, index, i)
         except (StencilDeficiencyError, IllConditionedStencilError) as exc:
             if not zero_fallback:
                 raise

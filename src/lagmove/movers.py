@@ -38,10 +38,6 @@ class MoverKind:
             raise StructuralError("series term count must be >= 1")
 
     @property
-    def needs_history(self) -> bool:
-        return self.name in ("m2", "m4")
-
-    @property
     def bootstrap(self) -> "MoverKind":
         """Scheme to use on the first step, when no history exists yet."""
         if self.name == "m2":

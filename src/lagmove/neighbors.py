@@ -17,10 +17,7 @@ from .errors import StructuralError
 @dataclass(frozen=True)
 class NeighborIndex:
     search_radius: float
-    ids: np.ndarray                  # (N,) point ids, cloud order
-    lists: tuple[np.ndarray, ...]    # per point: sorted neighbor ids, self excluded
-    grid_origin: np.ndarray
-    cell_size: float
+    lists: tuple[np.ndarray, ...]    # per point: sorted neighbor rows, self excluded
 
     def neighbor_count(self) -> np.ndarray:
         return np.array([len(l) for l in self.lists])
@@ -53,22 +50,11 @@ def build_index(cloud: PointCloud, radius: float) -> NeighborIndex:
         cand = np.array(candidates, dtype=np.int64)
         diff = pos[cand] - pos[i]
         mask = (np.einsum("ij,ij->i", diff, diff) <= r2) & (cand != i)
-        lists.append(np.sort(cloud.ids[cand[mask]]))
+        lists.append(np.sort(cand[mask]))
     return NeighborIndex(
         search_radius=radius,
-        ids=cloud.ids.copy(),
         lists=tuple(lists),
-        grid_origin=origin,
-        cell_size=radius,
     )
-
-
-def neighbors_of(index: NeighborIndex, point_id: int) -> np.ndarray:
-    """Sorted neighbor ids of one point."""
-    where = np.flatnonzero(index.ids == point_id)
-    if where.size == 0:
-        raise StructuralError(f"unknown point id {point_id}")
-    return index.lists[where[0]]
 
 
 def brute_force_neighbors(positions: np.ndarray, radius: float) -> list[np.ndarray]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import diagnostics, gfdm, movers, neighbors
 from .cloud import PointCloud, advance_history, apply_displacements, make_cloud
-from .errors import StructuralError
+from .errors import LagmoveError, StructuralError
 from .fields import (
     Lissajous,
     LinearField,
@@ -26,6 +26,10 @@ from .fields import (
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _TIME_EPS = 1e-12
+
+
+def _positive(x: float) -> bool:
+    return bool(np.isfinite(x)) and x > 0
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,7 @@ class Scenario:
     exact_center_offset: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.n_points < 3 or self.disc_radius <= 0 or self.t_end <= 0:
+        if self.n_points < 3 or not (_positive(self.disc_radius) and _positive(self.t_end)):
             raise StructuralError("invalid scenario parameters")
 
 
@@ -53,11 +57,12 @@ class RunConfig:
     gradient_mode: str = "analytic"     # analytic | numeric
     radius_factor: float = 1.0
     output_stride: int = 10
-    seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise StructuralError("dt must be positive")
+        if not _positive(self.dt):
+            raise StructuralError("dt must be positive and finite")
+        if not _positive(self.radius_factor):
+            raise StructuralError("radius factor must be positive and finite")
         if self.gradient_mode not in ("analytic", "numeric"):
             raise StructuralError(f"unknown gradient mode {self.gradient_mode!r}")
         if self.output_stride < 1:
@@ -189,33 +194,49 @@ def initial_cloud(scenario: Scenario, config: RunConfig) -> PointCloud:
     return replace(cloud, velocities=v, grad_velocities=g)
 
 
-def step(cloud: PointCloud, scenario: Scenario, config: RunConfig) -> PointCloud:
-    """Advance one step. Uses the bootstrap scheme while history is missing."""
+def step(
+    cloud: PointCloud, scenario: Scenario, config: RunConfig, dt: float | None = None
+) -> PointCloud:
+    """Advance one step. Uses the bootstrap scheme while history is missing.
+
+    A given ``dt`` is a shortened step that lands exactly on ``time + dt``:
+    backward differences inside the movers keep the regular spacing, only
+    the integration interval shrinks, and the returned cloud keeps the
+    original dt and step numbering, with its clock pinned to the landing time.
+    """
     mover = config.mover if cloud.has_history else config.mover.bootstrap
     ctx = movers.MoveContext(
-        dt=cloud.dt,
+        dt=cloud.dt if dt is None else dt,
         v_n=cloud.velocities,
         v_prev=cloud.velocities_prev,
         grad_n=cloud.grad_velocities,
         grad_prev=cloud.grad_velocities_prev,
         has_history=cloud.has_history,
+        dt_history=cloud.dt,
     )
     moved = apply_displacements(cloud, movers.displacement(mover, ctx))
-    t_new = moved.initial_time + (moved.step + 1) * moved.dt
+    if dt is None:
+        t_new = moved.initial_time + (moved.step + 1) * moved.dt
+    else:
+        t_new = cloud.time + dt
     v_new, g_new = _field_state(scenario, config, moved, moved.positions, t_new)
-    return advance_history(moved, v_new, g_new)
+    out = advance_history(moved, v_new, g_new)
+    if dt is None:
+        return out
+    return replace(out, initial_time=t_new - out.step * out.dt)
 
 
-def _record(cloud, scenario, start_centroid, v0) -> diagnostics.DiagnosticsRecord:
+def _record(cloud, scenario, first=None) -> diagnostics.DiagnosticsRecord:
+    """Diagnostics of ``cloud``; errors are relative to the ``first`` record,
+    or to the cloud itself when there is none yet."""
     c = diagnostics.centroid(cloud)
-    dia = diagnostics.diameter(cloud)
-    vol = diagnostics.hull_volume(cloud)
+    dia, vol = diagnostics.measure(cloud)
     e_dia = (
         abs(dia - scenario.exact_diameter) if scenario.exact_diameter is not None else 0.0
     )
     if scenario.exact_center_offset is not None:
-        exact = start_centroid + scenario.exact_center_offset(cloud.time)
-        e_x = float(np.linalg.norm(c - exact))
+        start = c if first is None else first.centroid
+        e_x = diagnostics.eps_x(cloud, start + scenario.exact_center_offset(cloud.time))
     else:
         e_x = 0.0
     return diagnostics.DiagnosticsRecord(
@@ -226,34 +247,8 @@ def _record(cloud, scenario, start_centroid, v0) -> diagnostics.DiagnosticsRecor
         hull_volume=vol,
         eps_dia=e_dia,
         eps_x=e_x,
-        eps_V=diagnostics.eps_volume(v0, vol),
+        eps_V=diagnostics.eps_volume(vol if first is None else first.hull_volume, vol),
     )
-
-
-def short_step(
-    cloud: PointCloud, scenario: Scenario, config: RunConfig, dt_short: float
-) -> PointCloud:
-    """One step of length ``dt_short`` landing exactly on the target time.
-
-    Backward differences inside the movers keep the regular spacing; only
-    the integration interval shrinks. The returned cloud keeps the original
-    dt and step numbering, with its clock pinned to the landing time.
-    """
-    t_new = cloud.time + dt_short
-    mover = config.mover if cloud.has_history else config.mover.bootstrap
-    ctx = movers.MoveContext(
-        dt=dt_short,
-        v_n=cloud.velocities,
-        v_prev=cloud.velocities_prev,
-        grad_n=cloud.grad_velocities,
-        grad_prev=cloud.grad_velocities_prev,
-        has_history=cloud.has_history,
-        dt_history=cloud.dt,
-    )
-    moved = apply_displacements(cloud, movers.displacement(mover, ctx))
-    v_new, g_new = _field_state(scenario, config, moved, moved.positions, t_new)
-    out = advance_history(moved, v_new, g_new)
-    return replace(out, initial_time=t_new - out.step * out.dt)
 
 
 def plan_steps(t_end: float, dt: float) -> tuple[int, float]:
@@ -269,20 +264,19 @@ def run(scenario: Scenario, config: RunConfig) -> list[diagnostics.DiagnosticsRe
     """Full run to t_end; when dt does not divide t_end the last step is
     shortened to land exactly on it. Records every stride plus the final step."""
     cloud = initial_cloud(scenario, config)
-    v0 = diagnostics.hull_volume(cloud)
-    start_centroid = diagnostics.centroid(cloud)
-    records = [_record(cloud, scenario, start_centroid, v0)]
+    first = _record(cloud, scenario)
+    records = [first]
 
     n_full, remainder = plan_steps(scenario.t_end, config.dt)
     for _ in range(n_full):
         cloud = step(cloud, scenario, config)
         if cloud.step % config.output_stride == 0:
-            records.append(_record(cloud, scenario, start_centroid, v0))
+            records.append(_record(cloud, scenario, first))
     if remainder > 0.0:
-        cloud = short_step(cloud, scenario, config, remainder)
+        cloud = step(cloud, scenario, config, dt=remainder)
 
     if records[-1].step != cloud.step or remainder > 0.0:
-        final = _record(cloud, scenario, start_centroid, v0)
+        final = _record(cloud, scenario, first)
         final = replace(final, time=scenario.t_end)
         records.append(final)
     return records
@@ -296,6 +290,7 @@ class SweepCell:
     eps_x: float
     eps_V: float
     failed: bool = False
+    error: str | None = None      # "<type>: <message>" of a failed cell
 
 
 def convergence_sweep(
@@ -304,8 +299,9 @@ def convergence_sweep(
     dts: list[float],
     mover_names: tuple[str, ...] = movers.MOVER_NAMES,
 ) -> list[SweepCell]:
-    """Cross product of movers and time steps; failed cells are marked and
-    the sweep continues. Sorted by (mover, dt)."""
+    """Cross product of movers and time steps; cells failing with a package
+    or linear-algebra error are marked with the reason and the sweep
+    continues. Sorted by (mover, dt)."""
     cells = []
     for name in sorted(mover_names):
         for dt in sorted(dts):
@@ -313,6 +309,7 @@ def convergence_sweep(
             try:
                 final = run(scenario, config)[-1]
                 cells.append(SweepCell(name, dt, final.eps_dia, final.eps_x, final.eps_V))
-            except Exception:
-                cells.append(SweepCell(name, dt, np.nan, np.nan, np.nan, failed=True))
+            except (LagmoveError, np.linalg.LinAlgError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                cells.append(SweepCell(name, dt, np.nan, np.nan, np.nan, failed=True, error=error))
     return cells

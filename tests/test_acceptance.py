@@ -22,7 +22,6 @@ from lagmove.scenarios import (
     make_scenario,
     plan_steps,
     run,
-    short_step,
     step,
 )
 
@@ -80,7 +79,7 @@ def test_criterion_2_m1_radius_growth():
     for _ in range(n_full):
         cloud = step(cloud, sc, cfg)
     if rem > 0.0:
-        cloud = short_step(cloud, sc, cfg, rem)
+        cloud = step(cloud, sc, cfg, dt=rem)
     radius = float(np.linalg.norm(cloud.positions[0]))
     # per-step radius factor sqrt(1 + (w dt)^2); dt does not divide 4*pi,
     # so the oracle includes the shortened final step explicitly

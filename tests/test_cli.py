@@ -141,8 +141,56 @@ def test_validate_detects_corrupted_series(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_max_threads_env(monkeypatch):
-    monkeypatch.setenv("LAGMOVE_THREADS", "4")
-    assert cli.max_threads() == 4
-    monkeypatch.setenv("LAGMOVE_THREADS", "junk")
-    assert cli.max_threads() == 1
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--dt", "nan"],
+        ["--dt", "inf"],
+        ["--dt", "0.05", "--t-end", "nan"],
+        ["--dt", "0.05", "--t-end", "inf"],
+        ["--dt", "0.05", "--radius-factor", "-1"],
+        ["--dt", "0.05", "--radius-factor", "nan"],
+    ],
+    ids=["dt-nan", "dt-inf", "t-end-nan", "t-end-inf", "radius-factor-negative", "radius-factor-nan"],
+)
+def test_run_rejects_bad_reals(flags, capsys):
+    assert cli.main(["run", "--scenario", "rotation"] + flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+SWEEP_ARGV = ["sweep", "--scenario", "rotation", "--dts", "0.1", "--t-end", "0.3"]
+
+
+def test_sweep_propagates_code_bugs(monkeypatch):
+    from lagmove import movers
+
+    def broken(mover, ctx):
+        raise TypeError("a bug, not a failed cell")
+
+    monkeypatch.setattr(movers, "displacement", broken)
+    with pytest.raises(TypeError):
+        cli.main(SWEEP_ARGV)
+
+
+def test_sweep_reports_failed_cell_reason(monkeypatch, tmp_path, capsys):
+    from lagmove import movers
+    from lagmove.errors import NumericInputError
+
+    original = movers.displacement
+
+    def flaky(mover, ctx):
+        if mover.name == "m2":
+            raise NumericInputError("v_n contains non-finite entries")
+        return original(mover, ctx)
+
+    monkeypatch.setattr(movers, "displacement", flaky)
+    out, summary = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    assert cli.main(SWEEP_ARGV + ["--out", str(out), "--summary", str(summary)]) == 0
+    cells = {c["mover"]: c for c in json.loads(summary.read_text())}
+    assert cells["m2"]["failed"]
+    assert cells["m2"]["error"] == "NumericInputError: v_n contains non-finite entries"
+    assert all(cells[m]["error"] is None and not cells[m]["failed"] for m in ("m1", "m3", "m4"))
+    lines = out.read_text().splitlines()
+    assert lines[0] == "mover,dt,eps_dia,eps_x,eps_V,failed"
+    assert lines[2] == "m2,0.10000000000000001,nan,nan,nan,1"
+    assert "FAILED (NumericInputError" in capsys.readouterr().out

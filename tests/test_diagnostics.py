@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from lagmove.cloud import make_cloud
-from lagmove.diagnostics import centroid, diameter, eps_dia, eps_volume, eps_x, hull_volume
+from lagmove.diagnostics import centroid, eps_volume, eps_x, measure
 from lagmove.errors import DegenerateGeometryError, StructuralError
+from lagmove.scenarios import sample_disc
 
 
 def cloud_from(positions, h=1.0):
@@ -17,6 +18,14 @@ def cloud_from(positions, h=1.0):
 def rotate(points, theta):
     q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     return np.asarray(points) @ q.T
+
+
+def diameter(cloud):
+    return measure(cloud)[0]
+
+
+def hull_volume(cloud):
+    return measure(cloud)[1]
 
 
 def test_centroid_mean():
@@ -45,32 +54,24 @@ def test_diameter_antipodal():
 
 
 def test_diameter_coincident_points():
-    assert diameter(cloud_from([[1.0, 1.0], [1.0, 1.0]])) == 0.0
+    # no full-dimensional hull, so no diameter either
+    with pytest.raises(DegenerateGeometryError):
+        measure(cloud_from([[1.0, 1.0]] * 3))
 
 
-def test_diameter_matches_all_pairs_oracle():
-    rng = np.random.default_rng(1)
-    pos = rng.normal(size=(50, 2))
-    brute = max(
-        np.linalg.norm(pos[i] - pos[j]) for i in range(50) for j in range(i + 1, 50)
-    )
-    assert diameter(cloud_from(pos)) == pytest.approx(brute, rel=1e-15)
-
-
-def test_diameter_large_cloud_uses_hull_path():
-    rng = np.random.default_rng(2)
-    pos = rng.normal(size=(1500, 2))
-    brute = 0.0
+@pytest.mark.parametrize(
+    "pos",
+    [
+        np.random.default_rng(1).normal(size=(50, 2)),
+        rotate(sample_disc((0.0, 0.0), 1.0, 222), 0.3),
+        np.random.default_rng(2).normal(size=(1500, 2)),
+    ],
+    ids=["random-50", "disc-222-rotated", "random-1500"],
+)
+def test_diameter_matches_all_pairs_oracle(pos):
     diff = pos[:, None, :] - pos[None, :, :]
     brute = np.sqrt((diff**2).sum(-1).max())
-    assert diameter(cloud_from(pos)) == pytest.approx(brute, rel=1e-14)
-
-
-def test_eps_dia_values():
-    c = cloud_from([[0.0, 0.0], [2.1, 0.0], [1.0, 0.5]])
-    assert eps_dia(c, 2.0) == pytest.approx(0.1)
-    with pytest.raises(StructuralError):
-        eps_dia(c, 0.0)
+    assert measure(cloud_from(pos))[0] == pytest.approx(brute, rel=1e-15)
 
 
 def test_rigid_rotation_leaves_metrics_invariant():

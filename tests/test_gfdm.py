@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lagmove.cloud import make_cloud
-from lagmove.errors import StencilDeficiencyError
+from lagmove.errors import StencilDeficiencyError, StructuralError
 from lagmove.gfdm import all_gradients, wlsq_gradient
 from lagmove.neighbors import build_index
 
@@ -24,27 +24,16 @@ def test_reproduces_rotation_gradient():
     rng = np.random.default_rng(0)
     cloud = linear_cloud(random_positions(rng), [[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])
     index = build_index(cloud, 0.5)
-    fit = wlsq_gradient(cloud, index, 0)
-    assert np.abs(fit.gradient - [[0.0, -1.0], [1.0, 0.0]]).max() <= 1e-10
+    grad = wlsq_gradient(cloud, index, 0)
+    assert np.abs(grad - [[0.0, -1.0], [1.0, 0.0]]).max() <= 1e-10
 
 
 def test_constant_velocity_gives_zero_gradient():
     rng = np.random.default_rng(1)
     cloud = linear_cloud(random_positions(rng), np.zeros((2, 2)), [3.0, 5.0])
     index = build_index(cloud, 0.5)
-    fit = wlsq_gradient(cloud, index, 5)
-    assert np.abs(fit.gradient).max() <= 1e-10
-
-
-def test_weights_in_unit_interval_and_ordered():
-    rng = np.random.default_rng(2)
-    cloud = linear_cloud(random_positions(rng), [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
-    index = build_index(cloud, 0.5)
-    fit = wlsq_gradient(cloud, index, 0)
-    assert np.all(fit.weights > 0) and np.all(fit.weights <= 1)
-    pos = cloud.positions
-    dist = np.linalg.norm(pos[fit.neighbor_ids] - pos[0], axis=1)
-    assert fit.weights[np.argmin(dist)] >= fit.weights[np.argmax(dist)]
+    grad = wlsq_gradient(cloud, index, 5)
+    assert np.abs(grad).max() <= 1e-10
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -97,8 +86,8 @@ def test_first_order_convergence_on_quadratic_field():
         pos = np.vstack([[0.0, 0.0], rng.uniform(-h, h, size=(40, 2))])
         vel = np.stack([pos[:, 0] ** 2, np.zeros(len(pos))], axis=1)
         cloud = make_cloud(pos, vel, np.zeros((41, 2, 2)), smoothing_length=h, dt=0.1)
-        fit = wlsq_gradient(cloud, build_index(cloud, 2 * h), 0)
-        errs.append(np.abs(fit.gradient - np.zeros((2, 2))).max())
+        grad = wlsq_gradient(cloud, build_index(cloud, 2 * h), 0)
+        errs.append(np.abs(grad - np.zeros((2, 2))).max())
     assert errs[1] < errs[0]
     assert errs[0] / errs[1] > 1.4  # roughly first order in h
 
@@ -108,6 +97,14 @@ def test_deficient_stencil_raises():
     index = build_index(cloud, 0.5)
     with pytest.raises(StencilDeficiencyError):
         wlsq_gradient(cloud, index, 0)
+
+
+def test_unknown_row_rejected():
+    cloud = linear_cloud([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]], np.eye(2), [0.0, 0.0])
+    index = build_index(cloud, 0.5)
+    for row in (3, 99, -1):
+        with pytest.raises(StructuralError):
+            wlsq_gradient(cloud, index, row)
 
 
 def test_zero_fallback_with_warning(caplog):

@@ -3,7 +3,7 @@ import pytest
 
 from lagmove.cloud import make_cloud
 from lagmove.errors import StructuralError
-from lagmove.neighbors import brute_force_neighbors, build_index, neighbors_of
+from lagmove.neighbors import brute_force_neighbors, build_index
 
 
 def cloud_from(positions):
@@ -16,33 +16,27 @@ def cloud_from(positions):
 
 def test_two_points_within_radius():
     index = build_index(cloud_from([[0.0, 0.0], [0.5, 0.0]]), 1.0)
-    assert list(neighbors_of(index, 0)) == [1]
-    assert list(neighbors_of(index, 1)) == [0]
+    assert list(index.lists[0]) == [1]
+    assert list(index.lists[1]) == [0]
 
 
 def test_two_points_out_of_radius():
     index = build_index(cloud_from([[0.0, 0.0], [2.0, 0.0]]), 1.0)
-    assert len(neighbors_of(index, 0)) == 0
-    assert len(neighbors_of(index, 1)) == 0
+    assert len(index.lists[0]) == 0
+    assert len(index.lists[1]) == 0
 
 
 def test_tie_at_exact_radius_included():
     index = build_index(cloud_from([[0.0, 0.0], [1.0, 0.0]]), 1.0)
-    assert list(neighbors_of(index, 0)) == [1]
+    assert list(index.lists[0]) == [1]
 
 
 def test_neighbors_sorted_ascending():
     pos = [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [-0.1, 0.0], [5.0, 5.0]]
     index = build_index(cloud_from(pos), 0.5)
-    nbrs = neighbors_of(index, 0)
+    nbrs = index.lists[0]
     assert list(nbrs) == sorted(nbrs)
-    assert list(neighbors_of(index, 4)) == []
-
-
-def test_unknown_id_rejected():
-    index = build_index(cloud_from([[0.0, 0.0], [1.0, 0.0]]), 1.0)
-    with pytest.raises(StructuralError):
-        neighbors_of(index, 99)
+    assert list(index.lists[4]) == []
 
 
 def test_invalid_inputs_rejected():
