@@ -2,7 +2,7 @@
 
 Four integrators for advecting a point cloud through a velocity field
 (first order, second order, streamline, change of streamlines), a WLSQ
-velocity-gradient reconstruction, a cell-list neighbor search, and
+velocity-gradient reconstruction, a KD-tree neighbor search, and
 conservation/trajectory diagnostics.
 """
 from .cloud import PointCloud, advance_history, apply_displacements, make_cloud

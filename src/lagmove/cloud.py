@@ -51,6 +51,11 @@ class PointCloud:
             arr = getattr(self, name)
             if arr.shape != (n, d, d):
                 raise StructuralError(f"{name} has shape {arr.shape}, expected {(n, d, d)}")
+        for name in ("positions", "velocities"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise NumericInputError(f"{name} contains non-finite entries")
+        if not (np.isfinite(self.smoothing_length) and np.isfinite(self.dt)):
+            raise NumericInputError("smoothing_length and dt must be finite")
         if self.smoothing_length <= 0:
             raise StructuralError("smoothing_length must be positive")
         if self.dt <= 0:

@@ -7,6 +7,13 @@ For point i with neighbors j the fitted matrix A minimizes
 
 solved through the d x d weighted normal equations, shared by all velocity
 components. A first-order fit reproduces any exactly-linear field.
+
+``all_gradients`` fits every stencil at once: the normal matrices and
+right-hand sides are segment sums over the index's edge list, the
+condition number is the ratio of the largest to the smallest absolute
+eigenvalue of each symmetric normal matrix (its singular values), and one
+batched solve covers every stencil that passes. ``wlsq_gradient`` fits a
+single point and is kept as its oracle.
 """
 from __future__ import annotations
 
@@ -15,7 +22,12 @@ import logging
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import IllConditionedStencilError, StencilDeficiencyError, StructuralError
+from .errors import (
+    IllConditionedStencilError,
+    LagmoveError,
+    StencilDeficiencyError,
+    StructuralError,
+)
 from .neighbors import NeighborIndex
 
 log = logging.getLogger(__name__)
@@ -24,20 +36,26 @@ WEIGHT_EXPONENT = 6.0
 CONDITION_LIMIT = 1e12
 
 
+def _stencil_error(i: int, count: int, d: int, cond: float = np.nan) -> LagmoveError:
+    if count < d:
+        return StencilDeficiencyError(f"point {i} has {count} neighbors, needs at least {d}")
+    return IllConditionedStencilError(
+        f"stencil of point {i}: condition {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
+    )
+
+
 def wlsq_gradient(
     cloud: PointCloud,
     index: NeighborIndex,
     i: int,
 ) -> np.ndarray:
-    """Fitted (d, d) gradient at row ``i`` of the cloud."""
+    """Fitted (d, d) gradient at row ``i`` of the cloud (per-point reference fit)."""
     if not 0 <= i < cloud.n:
         raise StructuralError(f"no point at row {i}")
     d = cloud.dim
-    j = index.lists[i]
+    j = index.ids[index.offsets[i]:index.offsets[i + 1]]
     if len(j) < d:
-        raise StencilDeficiencyError(
-            f"point {i} has {len(j)} neighbors, needs at least {d}"
-        )
+        raise _stencil_error(i, len(j), d)
     dx = cloud.positions[j] - cloud.positions[i]
     dv = cloud.velocities[j] - cloud.velocities[i]
     h = cloud.smoothing_length
@@ -48,9 +66,7 @@ def wlsq_gradient(
     c = dv.T @ wdx              # (d, d) right-hand side, one row per velocity component
     cond = float(np.linalg.cond(m))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise IllConditionedStencilError(
-            f"stencil of point {i}: condition {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
-        )
+        raise _stencil_error(i, len(j), d, cond)
     return np.linalg.solve(m, c.T).T
 
 
@@ -63,17 +79,37 @@ def all_gradients(
     """Row-aligned (N, d, d) array of fitted gradients.
 
     Points with deficient or ill-conditioned stencils get a zero gradient
-    (and a warning) when ``zero_fallback`` is set; the zero gradient
+    (and one warning each) when ``zero_fallback`` is set; the zero gradient
     degrades the streamline movers to their gradient-free counterparts
-    locally, which is safe.
+    locally, which is safe. Without it the error of the lowest failing row
+    is raised.
     """
     n, d = cloud.positions.shape
+    counts = index.neighbor_count()
+    rows = np.repeat(np.arange(n), counts)
+    xv = np.concatenate([cloud.positions, cloud.velocities], axis=1).T
+    diff = xv[:, index.ids] - xv[:, rows]       # (2d, E): dx then dv of every edge
+    dx = diff[:d]
+    h = cloud.smoothing_length
+    wdx = np.exp(-WEIGHT_EXPONENT * (dx * dx).sum(axis=0) / (h * h)) * dx
+
+    # sums[i] = [M | C^T] of point i: its normal matrix and transposed
+    # right-hand side, each entry a bincount over the edge list
+    terms = (wdx[:, None, :] * diff[None, :, :]).reshape(2 * d * d, -1)
+    sums = np.stack([np.bincount(rows, weights=t, minlength=n) for t in terms], axis=1)
+    sums = sums.reshape(n, d, 2 * d)
+    m, ct = sums[:, :, :d], sums[:, :, d:]
+
+    lam = np.abs(np.linalg.eigvalsh(m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = lam.max(axis=1) / lam.min(axis=1)
+    ok = (counts >= d) & (cond <= CONDITION_LIMIT)
+
     out = np.zeros((n, d, d))
-    for i in range(n):
-        try:
-            out[i] = wlsq_gradient(cloud, index, i)
-        except (StencilDeficiencyError, IllConditionedStencilError) as exc:
-            if not zero_fallback:
-                raise
-            log.warning("gradient fallback to zero: %s", exc)
+    out[ok] = np.swapaxes(np.linalg.solve(m[ok], ct[ok]), 1, 2)
+    for i in np.flatnonzero(~ok):
+        exc = _stencil_error(int(i), int(counts[i]), d, float(cond[i]))
+        if not zero_fallback:
+            raise exc
+        log.warning("gradient fallback to zero: %s", exc)
     return out

@@ -1,64 +1,54 @@
-"""Fixed-radius neighbor search via uniform cell lists.
+"""Fixed-radius neighbor search with a KD-tree, stored as CSR.
 
-Cell size equals the search radius, so candidates for any query come from
-the 3^d adjacent cells. Points exactly at distance r are included.
+``scipy.spatial.cKDTree.query_pairs`` gives every unordered pair within the
+radius (points exactly at distance r are included). The pairs are
+symmetrised and sorted by (row, column), so row i's neighbors are
+``ids[offsets[i]:offsets[i + 1]]``, ascending, self excluded.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
-from .errors import StructuralError
+from .errors import NumericInputError, StructuralError
 
 
 @dataclass(frozen=True)
 class NeighborIndex:
-    search_radius: float
-    lists: tuple[np.ndarray, ...]    # per point: sorted neighbor rows, self excluded
+    offsets: np.ndarray   # (N + 1,) start of each row's neighbors in ids
+    ids: np.ndarray       # (E,) neighbor rows, ascending within each row, self excluded
 
     def neighbor_count(self) -> np.ndarray:
-        return np.array([len(l) for l in self.lists])
+        return np.diff(self.offsets)
+
+    @property
+    def lists(self) -> tuple[np.ndarray, ...]:
+        """Per point: its neighbor rows (views into ``ids``)."""
+        return tuple(np.split(self.ids, self.offsets[1:-1]))
 
 
 def build_index(cloud: PointCloud, radius: float) -> NeighborIndex:
-    if radius <= 0:
+    if not radius > 0:
         raise StructuralError("search radius must be positive")
     if cloud.n == 0:
         raise StructuralError("cannot index an empty cloud")
     pos = cloud.positions
-    n, d = pos.shape
-    origin = pos.min(axis=0)
-    cells = np.floor((pos - origin) / radius).astype(np.int64)
-
-    occupancy: dict[tuple, list[int]] = {}
-    for i, key in enumerate(map(tuple, cells)):
-        occupancy.setdefault(key, []).append(i)
-
-    offsets = list(itertools.product((-1, 0, 1), repeat=d))
-    r2 = radius * radius
-    lists = []
-    for i in range(n):
-        key = tuple(cells[i])
-        candidates = []
-        for off in offsets:
-            bucket = occupancy.get(tuple(k + o for k, o in zip(key, off)))
-            if bucket:
-                candidates.extend(bucket)
-        cand = np.array(candidates, dtype=np.int64)
-        diff = pos[cand] - pos[i]
-        mask = (np.einsum("ij,ij->i", diff, diff) <= r2) & (cand != i)
-        lists.append(np.sort(cand[mask]))
-    return NeighborIndex(
-        search_radius=radius,
-        lists=tuple(lists),
-    )
+    if not np.all(np.isfinite(pos)):
+        raise NumericInputError("positions contain non-finite entries")
+    pairs = cKDTree(pos).query_pairs(radius, output_type="ndarray")
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.argsort(rows * cloud.n + cols)   # (row, col) order; keys are distinct
+    offsets = np.zeros(cloud.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=cloud.n), out=offsets[1:])
+    return NeighborIndex(offsets=offsets, ids=cols[order])
 
 
 def brute_force_neighbors(positions: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Reference O(N^2) all-pairs scan; oracle for the cell-list index."""
+    """Reference O(N^2) all-pairs scan; oracle for the KD-tree index."""
     pos = np.asarray(positions, dtype=float)
     n = pos.shape[0]
     out = []

@@ -103,10 +103,10 @@ def check_neighbor_oracle():
     cloud = make_cloud(pos, np.zeros_like(pos), np.zeros((150, 2, 2)), smoothing_length=0.2, dt=0.1)
     index = neighbors.build_index(cloud, 0.2)
     brute = neighbors.brute_force_neighbors(pos, 0.2)
-    for i in range(150):
-        if not np.array_equal(index.lists[i], brute[i]):
-            return False, f"cell list disagrees with all-pairs scan at point {i}"
-    return True, "cell list equals all-pairs scan"
+    for i, (got, want) in enumerate(zip(index.lists, brute)):
+        if not np.array_equal(got, want):
+            return False, f"KD-tree index disagrees with all-pairs scan at point {i}"
+    return True, "KD-tree index equals all-pairs scan"
 
 
 ALL_CHECKS = (

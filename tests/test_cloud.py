@@ -79,6 +79,23 @@ def test_non_finite_rejected():
         apply_displacements(cloud, bad)
 
 
+@pytest.mark.parametrize("field", ["positions", "velocities"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_make_cloud_rejects_non_finite(field, value):
+    arrays = {"positions": np.zeros((3, 2)), "velocities": np.zeros((3, 2))}
+    arrays[field][1, 0] = value
+    with pytest.raises(NumericInputError):
+        make_cloud(**arrays, grad_velocities=np.zeros((3, 2, 2)), smoothing_length=0.5, dt=0.1)
+
+
+@pytest.mark.parametrize("field", ["smoothing_length", "dt"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_make_cloud_rejects_non_finite_scalars(field, value):
+    scalars = {"smoothing_length": 0.5, "dt": 0.1, field: value}
+    with pytest.raises(NumericInputError):
+        make_cloud(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2, 2)), **scalars)
+
+
 def test_per_point_locality_commutes_with_permutation():
     rng = np.random.default_rng(1)
     cloud = small_cloud(n=10)

@@ -1,10 +1,15 @@
 import logging
+import re
 
 import numpy as np
 import pytest
 
 from lagmove.cloud import make_cloud
-from lagmove.errors import StencilDeficiencyError, StructuralError
+from lagmove.errors import (
+    IllConditionedStencilError,
+    StencilDeficiencyError,
+    StructuralError,
+)
 from lagmove.gfdm import all_gradients, wlsq_gradient
 from lagmove.neighbors import build_index
 
@@ -114,3 +119,78 @@ def test_zero_fallback_with_warning(caplog):
         grads = all_gradients(cloud, index)
     assert np.array_equal(grads, np.zeros((3, 2, 2)))
     assert any("fallback" in r.message for r in caplog.records)
+
+
+def fallback_warnings(caplog):
+    return [r for r in caplog.records if r.name == "lagmove.gfdm"]
+
+
+@pytest.mark.parametrize("d, radius", [(2, 0.55), (3, 0.7)])
+@pytest.mark.parametrize("trial", range(3))
+def test_batched_fit_matches_per_point_oracle(d, radius, trial, caplog):
+    rng = np.random.default_rng(300 + trial)
+    pos = rng.uniform(-1.0, 1.0, size=(150, d))
+    # fallback rows: four collinear points (ill-conditioned, each has d or
+    # more neighbors) and one isolated point (deficient)
+    line = np.zeros((4, d))
+    line[:, 0] = 0.1 * np.arange(4)
+    pos = np.vstack([pos, line + 5.0, np.full((1, d), -5.0)])
+    n = len(pos)
+    vel = np.sin(3.0 * pos) + pos @ rng.normal(size=(d, d)).T
+    cloud = make_cloud(pos, vel, np.zeros((n, d, d)), smoothing_length=radius, dt=0.1)
+    index = build_index(cloud, radius)
+    with caplog.at_level(logging.WARNING, logger="lagmove.gfdm"):
+        grads = all_gradients(cloud, index)
+    fallen = []
+    for i in range(n):
+        try:
+            ref = wlsq_gradient(cloud, index, i)
+        except (StencilDeficiencyError, IllConditionedStencilError):
+            assert np.array_equal(grads[i], np.zeros((d, d)))
+            fallen.append(i)
+        else:
+            assert np.abs(grads[i] - ref).max() <= 1e-12
+    assert fallen == list(range(150, 155))
+    messages = [r.getMessage() for r in fallback_warnings(caplog)]
+    assert len(messages) == len(fallen)
+    assert all(re.search(rf"point {i}\b", m) for i, m in zip(fallen, messages))
+
+
+def collinear_cloud():
+    return linear_cloud([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]], np.eye(2), [0.0, 0.0])
+
+
+def test_collinear_stencil_falls_back_with_one_warning_per_point(caplog):
+    cloud = collinear_cloud()
+    index = build_index(cloud, 0.5)
+    assert index.neighbor_count().min() >= 2  # not deficient: the fit is singular
+    with caplog.at_level(logging.WARNING, logger="lagmove.gfdm"):
+        grads = all_gradients(cloud, index)
+    assert np.array_equal(grads, np.zeros((3, 2, 2)))
+    messages = [r.getMessage() for r in fallback_warnings(caplog)]
+    assert len(messages) == 3
+    assert all("condition" in m for m in messages)
+
+
+def test_collinear_stencil_raises_without_fallback():
+    cloud = collinear_cloud()
+    index = build_index(cloud, 0.5)
+    with pytest.raises(IllConditionedStencilError):
+        all_gradients(cloud, index, zero_fallback=False)
+    with pytest.raises(IllConditionedStencilError):
+        wlsq_gradient(cloud, index, 1)
+
+
+@pytest.mark.parametrize(
+    "isolated_first, expected",
+    [(False, IllConditionedStencilError), (True, StencilDeficiencyError)],
+)
+def test_error_belongs_to_lowest_failing_row(isolated_first, expected):
+    good = [[-10.0, -10.0], [-9.9, -10.0], [-10.0, -9.9], [-9.9, -9.9]]
+    isolated = [[20.0, 20.0]]
+    collinear = [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]]
+    tail = isolated + collinear if isolated_first else collinear + isolated
+    cloud = linear_cloud(good + tail, np.eye(2), [0.0, 0.0])
+    index = build_index(cloud, 0.5)
+    with pytest.raises(expected, match=r"point 4\b"):
+        all_gradients(cloud, index, zero_fallback=False)

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lagmove.cloud import make_cloud
-from lagmove.errors import StructuralError
+from lagmove.errors import NumericInputError, StructuralError
 from lagmove.neighbors import brute_force_neighbors, build_index
 
 
@@ -42,6 +44,18 @@ def test_neighbors_sorted_ascending():
 def test_invalid_inputs_rejected():
     with pytest.raises(StructuralError):
         build_index(cloud_from([[0.0, 0.0], [1.0, 0.0]]), 0.0)
+    with pytest.raises(StructuralError):
+        build_index(cloud_from([[0.0, 0.0], [1.0, 0.0]]), np.nan)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_positions_rejected(value):
+    # probe clouds are built with dataclasses.replace, which skips make_cloud's checks
+    cloud = cloud_from([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+    bad = cloud.positions.copy()
+    bad[1, 1] = value
+    with pytest.raises(NumericInputError):
+        build_index(replace(cloud, positions=bad), 1.0)
 
 
 @pytest.mark.parametrize("trial", range(10))
