@@ -2,7 +2,8 @@
 
 Storage is structure-of-arrays: one (N, d) array per per-point field,
 row i of each belonging to point i. Operations return new clouds; arrays
-of the input are never mutated.
+of the input are never mutated. The cloud is the driver's state: only
+``scenarios`` reads its layout, and the kernels below it take arrays.
 """
 from __future__ import annotations
 
@@ -27,14 +28,6 @@ class PointCloud:
     has_history: bool = False
 
     @property
-    def n(self) -> int:
-        return int(self.positions.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.positions.shape[1])
-
-    @property
     def time(self) -> float:
         # recomputed from the step count, not accumulated, to avoid drift
         return self.initial_time + self.step * self.dt
@@ -44,16 +37,9 @@ class PointCloud:
         if d not in (2, 3):
             raise StructuralError(f"dimension must be 2 or 3, got {d}")
         for name in ("positions", "velocities", "velocities_prev"):
-            arr = getattr(self, name)
-            if arr.shape != (n, d):
-                raise StructuralError(f"{name} has shape {arr.shape}, expected {(n, d)}")
+            _check_aligned(getattr(self, name), (n, d), name)
         for name in ("grad_velocities", "grad_velocities_prev"):
-            arr = getattr(self, name)
-            if arr.shape != (n, d, d):
-                raise StructuralError(f"{name} has shape {arr.shape}, expected {(n, d, d)}")
-        for name in ("positions", "velocities"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise NumericInputError(f"{name} contains non-finite entries")
+            _check_aligned(getattr(self, name), (n, d, d), name)
         if not (np.isfinite(self.smoothing_length) and np.isfinite(self.dt)):
             raise NumericInputError("smoothing_length and dt must be finite")
         if self.smoothing_length <= 0:
@@ -82,14 +68,12 @@ def make_cloud(
         grad_velocities_prev=np.zeros_like(grad_velocities),
         smoothing_length=smoothing_length,
         dt=dt,
-        step=0,
-        has_history=False,
     )
     cloud.validate()
     return cloud
 
 
-def _check_aligned(cloud: PointCloud, arr: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+def _check_aligned(arr: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.shape != shape:
         raise StructuralError(f"{what} has shape {arr.shape}, expected {shape}")
@@ -108,8 +92,8 @@ def advance_history(
     Increments the step counter; time follows from it.
     """
     n, d = cloud.positions.shape
-    new_velocities = _check_aligned(cloud, new_velocities, (n, d), "new_velocities")
-    new_gradients = _check_aligned(cloud, new_gradients, (n, d, d), "new_gradients")
+    new_velocities = _check_aligned(new_velocities, (n, d), "new_velocities")
+    new_gradients = _check_aligned(new_gradients, (n, d, d), "new_gradients")
     return replace(
         cloud,
         velocities=new_velocities,
@@ -124,5 +108,5 @@ def advance_history(
 def apply_displacements(cloud: PointCloud, displacements: np.ndarray) -> PointCloud:
     """Move every point by its displacement; nothing else changes."""
     n, d = cloud.positions.shape
-    displacements = _check_aligned(cloud, displacements, (n, d), "displacements")
+    displacements = _check_aligned(displacements, (n, d), "displacements")
     return replace(cloud, positions=cloud.positions + displacements)

@@ -1,8 +1,9 @@
-"""Geometric measurements and error metrics over a point cloud.
+"""Geometric measurements and error metrics over a point set.
 
 Definitions: the numerical diameter is the maximum pairwise distance, the
 numerical center is the arithmetic mean of positions, and the occupied
-volume is the convex-hull measure (area in 2D).
+volume is the convex-hull measure (area in 2D). The measures take an
+(N, d) position array, not a cloud: the cloud is the driver's state.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .cloud import PointCloud
 from .errors import DegenerateGeometryError, StructuralError
 
 
@@ -27,31 +27,31 @@ class DiagnosticsRecord:
     eps_V: float
 
 
-def centroid(cloud: PointCloud) -> np.ndarray:
-    if cloud.n == 0:
-        raise StructuralError("centroid of an empty cloud")
-    return cloud.positions.mean(axis=0)
+def centroid(positions: np.ndarray) -> np.ndarray:
+    if len(positions) == 0:
+        raise StructuralError("centroid of an empty point set")
+    return positions.mean(axis=0)
 
 
-def measure(cloud: PointCloud) -> tuple[float, float]:
+def measure(positions: np.ndarray) -> tuple[float, float]:
     """Diameter and convex-hull measure (polygon area in 2D), from one hull.
 
     The farthest pair of a point set is a pair of hull vertices, so the
     diameter is the maximum pairwise distance over the vertices alone.
     """
-    if cloud.n < cloud.dim + 1:
+    if len(positions) < positions.shape[1] + 1:
         raise DegenerateGeometryError("too few points for a full-dimensional hull")
     try:
-        hull = ConvexHull(cloud.positions)
+        hull = ConvexHull(positions)
     except QhullError as exc:
         raise DegenerateGeometryError(f"degenerate point set: {exc}") from exc
-    pts = cloud.positions[hull.vertices]
+    pts = positions[hull.vertices]
     diff = pts[:, None, :] - pts[None, :, :]
     return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max())), float(hull.volume)
 
 
-def eps_x(cloud: PointCloud, x_exact: np.ndarray) -> float:
-    return float(np.linalg.norm(centroid(cloud) - np.asarray(x_exact, dtype=float)))
+def eps_x(positions: np.ndarray, x_exact: np.ndarray) -> float:
+    return float(np.linalg.norm(centroid(positions) - np.asarray(x_exact, dtype=float)))
 
 
 def eps_volume(v0: float, v_end: float) -> float:

@@ -14,6 +14,8 @@ condition number is the ratio of the largest to the smallest absolute
 eigenvalue of each symmetric normal matrix (its singular values), and one
 batched solve covers every stencil that passes. ``wlsq_gradient`` fits a
 single point and is kept as its oracle.
+
+Both take position and velocity arrays; the cloud is the driver's state.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ import logging
 
 import numpy as np
 
-from .cloud import PointCloud
 from .errors import (
     IllConditionedStencilError,
     LagmoveError,
@@ -44,21 +45,33 @@ def _stencil_error(i: int, count: int, d: int, cond: float = np.nan) -> LagmoveE
     )
 
 
+def _check_inputs(positions, velocities, index: NeighborIndex, smoothing_length: float):
+    """(N, d) of matching arrays, an index with N + 1 offsets and a valid h."""
+    if not (positions.ndim == 2 and velocities.shape == positions.shape
+            and index.offsets.shape == (len(positions) + 1,)):
+        raise StructuralError(
+            f"positions {positions.shape}, velocities {velocities.shape} and index offsets "
+            f"{index.offsets.shape} do not describe one (N, d) point set"
+        )
+    if not (np.isfinite(smoothing_length) and smoothing_length > 0):
+        raise StructuralError("smoothing length must be positive and finite")
+    return positions.shape
+
+
 def wlsq_gradient(
-    cloud: PointCloud,
-    index: NeighborIndex,
-    i: int,
+    positions: np.ndarray, velocities: np.ndarray, index: NeighborIndex,
+    smoothing_length: float, i: int,
 ) -> np.ndarray:
-    """Fitted (d, d) gradient at row ``i`` of the cloud (per-point reference fit)."""
-    if not 0 <= i < cloud.n:
+    """Fitted (d, d) gradient at row ``i`` (per-point reference fit)."""
+    n, d = _check_inputs(positions, velocities, index, smoothing_length)
+    if not 0 <= i < n:
         raise StructuralError(f"no point at row {i}")
-    d = cloud.dim
     j = index.ids[index.offsets[i]:index.offsets[i + 1]]
     if len(j) < d:
         raise _stencil_error(i, len(j), d)
-    dx = cloud.positions[j] - cloud.positions[i]
-    dv = cloud.velocities[j] - cloud.velocities[i]
-    h = cloud.smoothing_length
+    dx = positions[j] - positions[i]
+    dv = velocities[j] - velocities[i]
+    h = smoothing_length
     w = np.exp(-WEIGHT_EXPONENT * np.einsum("ij,ij->i", dx, dx) / (h * h))
 
     wdx = w[:, None] * dx
@@ -71,10 +84,8 @@ def wlsq_gradient(
 
 
 def all_gradients(
-    cloud: PointCloud,
-    index: NeighborIndex,
-    *,
-    zero_fallback: bool = True,
+    positions: np.ndarray, velocities: np.ndarray, index: NeighborIndex,
+    smoothing_length: float, *, zero_fallback: bool = True,
 ) -> np.ndarray:
     """Row-aligned (N, d, d) array of fitted gradients.
 
@@ -84,13 +95,13 @@ def all_gradients(
     locally, which is safe. Without it the error of the lowest failing row
     is raised.
     """
-    n, d = cloud.positions.shape
+    n, d = _check_inputs(positions, velocities, index, smoothing_length)
     counts = index.neighbor_count()
     rows = np.repeat(np.arange(n), counts)
-    xv = np.concatenate([cloud.positions, cloud.velocities], axis=1).T
+    xv = np.concatenate([positions, velocities], axis=1).T
     diff = xv[:, index.ids] - xv[:, rows]       # (2d, E): dx then dv of every edge
     dx = diff[:d]
-    h = cloud.smoothing_length
+    h = smoothing_length
     wdx = np.exp(-WEIGHT_EXPONENT * (dx * dx).sum(axis=0) / (h * h)) * dx
 
     # sums[i] = [M | C^T] of point i: its normal matrix and transposed

@@ -3,7 +3,8 @@
 ``scipy.spatial.cKDTree.query_pairs`` gives every unordered pair within the
 radius (points exactly at distance r are included). The pairs are
 symmetrised and sorted by (row, column), so row i's neighbors are
-``ids[offsets[i]:offsets[i + 1]]``, ascending, self excluded.
+``ids[offsets[i]:offsets[i + 1]]``, ascending, self excluded. The search
+takes an (N, d) position array; the cloud is the driver's state.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cloud import PointCloud
 from .errors import NumericInputError, StructuralError
 
 
@@ -30,20 +30,24 @@ class NeighborIndex:
         return tuple(np.split(self.ids, self.offsets[1:-1]))
 
 
-def build_index(cloud: PointCloud, radius: float) -> NeighborIndex:
+def build_index(positions: np.ndarray, radius: float) -> NeighborIndex:
+    """CSR index of every pair of rows of ``positions`` within ``radius``."""
     if not radius > 0:
         raise StructuralError("search radius must be positive")
-    if cloud.n == 0:
-        raise StructuralError("cannot index an empty cloud")
-    pos = cloud.positions
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2:
+        raise StructuralError(f"positions must be an (N, d) array, got shape {pos.shape}")
+    n = len(pos)
+    if n == 0:
+        raise StructuralError("cannot index an empty point set")
     if not np.all(np.isfinite(pos)):
         raise NumericInputError("positions contain non-finite entries")
     pairs = cKDTree(pos).query_pairs(radius, output_type="ndarray")
     rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
     cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.argsort(rows * cloud.n + cols)   # (row, col) order; keys are distinct
-    offsets = np.zeros(cloud.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=cloud.n), out=offsets[1:])
+    order = np.argsort(rows * n + cols)   # (row, col) order; keys are distinct
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
     return NeighborIndex(offsets=offsets, ids=cols[order])
 
 

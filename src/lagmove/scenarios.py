@@ -4,7 +4,8 @@ A step does, in order: read the current-level gradient (analytic from the
 field, or WLSQ-reconstructed from neighbor velocities), build the move
 context, displace points with the configured scheme, sample the field at
 the new positions and time, and shift the history. Movement always happens
-before the velocity update.
+before the velocity update. The ``PointCloud`` is the driver's state; the
+kernels it calls take arrays.
 """
 from __future__ import annotations
 
@@ -36,11 +37,11 @@ def _positive(x: float) -> bool:
 class Scenario:
     name: str
     field: object                 # velocity field with evaluate/gradient
-    disc_center: tuple[float, float]
-    disc_radius: float
     n_points: int
     t_end: float
-    smoothing_length: float
+    disc_center: tuple[float, float] = (0.0, 0.0)
+    disc_radius: float = 1.0
+    smoothing_length: float = 0.3
     exact_diameter: float | None = None
     # exact displacement of the cloud centroid from its start, as f(t)
     exact_center_offset: Callable[[float], np.ndarray] | None = None
@@ -98,11 +99,8 @@ def rotation_scenario(n: int = 222, omega: float = 1.0, *, t_end: float | None =
     return Scenario(
         name="rotation",
         field=RigidRotation(center=(0.0, 0.0), omega=omega),
-        disc_center=(0.0, 0.0),
-        disc_radius=1.0,
         n_points=n,
         t_end=4.0 * np.pi / omega if t_end is None else t_end,
-        smoothing_length=0.3,
         exact_diameter=2.0,
         exact_center_offset=lambda t: np.zeros(2),
     )
@@ -112,11 +110,8 @@ def lissajous_scenario(n: int = 222, t_end: float = 3.0) -> Scenario:
     return Scenario(
         name="lissajous",
         field=Lissajous(),
-        disc_center=(0.0, 0.0),
-        disc_radius=1.0,
         n_points=n,
         t_end=t_end,
-        smoothing_length=0.3,
         exact_diameter=2.0,
         exact_center_offset=lambda t: exact_lissajous_center(t) - exact_lissajous_center(0.0),
     )
@@ -135,11 +130,8 @@ def modulated_rotation_scenario(
     return Scenario(
         name="modulated-rotation",
         field=ModulatedRotation(center=(0.0, 0.0), omega0=omega0, modulation_freq=freq),
-        disc_center=(0.0, 0.0),
-        disc_radius=1.0,
         n_points=n,
         t_end=t_end,
-        smoothing_length=0.3,
         exact_diameter=2.0,
         exact_center_offset=lambda t: np.zeros(2),
     )
@@ -150,11 +142,8 @@ def linear_field_scenario(n: int = 222, t_end: float = 2.0) -> Scenario:
     return Scenario(
         name="linear-field",
         field=LinearField(A=((0.2, 1.0), (0.3, -0.2)), b=(0.5, -0.1)),
-        disc_center=(0.0, 0.0),
-        disc_radius=1.0,
         n_points=n,
         t_end=t_end,
-        smoothing_length=0.3,
     )
 
 
@@ -174,31 +163,22 @@ def make_scenario(name: str, **kwargs) -> Scenario:
     return factory(**kwargs)
 
 
-def _field_state(scenario: Scenario, config: RunConfig, cloud_like, positions, t):
-    """Velocity and current-level gradient at given positions and time."""
+def _field_state(scenario: Scenario, config: RunConfig, positions, t, h):
+    """Velocity and current-level gradient at given positions and time (h: WLSQ smoothing)."""
     v = scenario.field.evaluate(positions, t)
     if config.gradient_mode == "analytic":
         g = scenario.field.gradient(positions, t)
     else:
-        probe = replace(cloud_like, positions=positions, velocities=v)
-        index = neighbors.build_index(
-            probe, config.radius_factor * probe.smoothing_length
-        )
-        g = gfdm.all_gradients(probe, index)
+        index = neighbors.build_index(positions, config.radius_factor * h)
+        g = gfdm.all_gradients(positions, v, index, h)
     return v, g
 
 
 def initial_cloud(scenario: Scenario, config: RunConfig) -> PointCloud:
     positions = sample_disc(scenario.disc_center, scenario.disc_radius, scenario.n_points)
-    cloud = make_cloud(
-        positions,
-        np.zeros_like(positions),
-        np.zeros((scenario.n_points, 2, 2)),
-        smoothing_length=scenario.smoothing_length,
-        dt=config.dt,
-    )
-    v, g = _field_state(scenario, config, cloud, positions, 0.0)
-    return replace(cloud, velocities=v, grad_velocities=g)
+    h = scenario.smoothing_length
+    v, g = _field_state(scenario, config, positions, 0.0, h)
+    return make_cloud(positions, v, g, smoothing_length=h, dt=config.dt)
 
 
 def step(
@@ -226,7 +206,7 @@ def step(
         t_new = moved.initial_time + (moved.step + 1) * moved.dt
     else:
         t_new = cloud.time + dt
-    v_new, g_new = _field_state(scenario, config, moved, moved.positions, t_new)
+    v_new, g_new = _field_state(scenario, config, moved.positions, t_new, moved.smoothing_length)
     out = advance_history(moved, v_new, g_new)
     if dt is None:
         return out
@@ -236,14 +216,14 @@ def step(
 def _record(cloud, scenario, first=None) -> diagnostics.DiagnosticsRecord:
     """Diagnostics of ``cloud``; errors are relative to the ``first`` record,
     or to the cloud itself when there is none yet."""
-    c = diagnostics.centroid(cloud)
-    dia, vol = diagnostics.measure(cloud)
+    c = diagnostics.centroid(cloud.positions)
+    dia, vol = diagnostics.measure(cloud.positions)
     e_dia = (
         abs(dia - scenario.exact_diameter) if scenario.exact_diameter is not None else 0.0
     )
     if scenario.exact_center_offset is not None:
         start = c if first is None else first.centroid
-        e_x = diagnostics.eps_x(cloud, start + scenario.exact_center_offset(cloud.time))
+        e_x = diagnostics.eps_x(cloud.positions, start + scenario.exact_center_offset(cloud.time))
     else:
         e_x = 0.0
     return diagnostics.DiagnosticsRecord(
@@ -283,9 +263,7 @@ def run(scenario: Scenario, config: RunConfig) -> list[diagnostics.DiagnosticsRe
         cloud = step(cloud, scenario, config, dt=remainder)
 
     if records[-1].step != cloud.step or remainder > 0.0:
-        final = _record(cloud, scenario, first)
-        final = replace(final, time=scenario.t_end)
-        records.append(final)
+        records.append(replace(_record(cloud, scenario, first), time=scenario.t_end))
     return records
 
 

@@ -1,6 +1,7 @@
 """Built-in self checks behind the ``validate`` CLI subcommand.
 
 Each check returns (name, passed, detail); the suite is deterministic.
+``fd_jacobian`` and ``phi1_expm`` are oracles the tests share.
 """
 from __future__ import annotations
 
@@ -10,11 +11,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import gfdm, movers, neighbors
-from .cloud import make_cloud
 from .fields import LinearField, Lissajous, ModulatedRotation, RigidRotation
 
 
-def _fd_jacobian(field, x, t, eps=1e-6):
+def fd_jacobian(field, x, t, eps=1e-6):
+    """Central-difference (2, 2) Jacobian of a 2D field at point ``x``."""
     jac = np.zeros((2, 2))
     for j in range(2):
         xp, xm = x.copy(), x.copy()
@@ -22,6 +23,14 @@ def _fd_jacobian(field, x, t, eps=1e-6):
         xm[j] -= eps
         jac[:, j] = (field.evaluate(xp[None], t)[0] - field.evaluate(xm[None], t)[0]) / (2 * eps)
     return jac
+
+
+def phi1_expm(a, v, dt):
+    """Exact integral of exp(a s) v over s in [0, dt] (the series' infinite-K
+    limit), from the scaling-and-squaring exponential of the augmented matrix."""
+    d = len(v)
+    aug = np.block([[a * dt, (v * dt)[:, None]], [np.zeros((1, d + 1))]])
+    return expm(aug)[:d, d]
 
 
 def check_reduction_identities():
@@ -51,7 +60,7 @@ def check_field_gradients():
             x = rng.uniform(-1, 1, size=2)
             t = rng.uniform(0, 10)
             exact = field.gradient(x[None], t)[0]
-            approx = _fd_jacobian(field, x, t)
+            approx = fd_jacobian(field, x, t)
             worst = max(worst, np.abs(exact - approx).max())
     return worst <= 1e-6, f"max gradient FD mismatch {worst:.3e}"
 
@@ -71,37 +80,48 @@ def check_series_oracle():
             na**k * dt ** (k + 1) / math.factorial(k + 1) for k in range(5, 25)
         ) * np.linalg.norm(v)
         worst = max(worst, np.linalg.norm(got - ref) - tail)
-        # K=20 against the scaling-and-squaring matrix exponential
-        aug = np.zeros((3, 3))
-        aug[:2, :2] = a * dt
-        aug[:2, 2] = v * dt
-        exact = expm(aug)[:2, 2]
+        exact = phi1_expm(a, v, dt)
         rel = np.linalg.norm(ref - exact) / max(np.linalg.norm(exact), 1e-300)
         if rel > 1e-12:
             return False, f"K=20 vs expm relative error {rel:.3e}"
     return worst <= 0.0, f"worst tail-bound slack {worst:.3e}"
 
 
+def _stencil_conditions(pos, index, h):
+    """Condition number of each row's weighted normal matrix, as the fit weighs it."""
+    conds = np.empty(len(pos))
+    for i, j in enumerate(index.lists):
+        dx = pos[j] - pos[i]
+        w = np.exp(-gfdm.WEIGHT_EXPONENT * np.einsum("ij,ij->i", dx, dx) / (h * h))
+        conds[i] = np.linalg.cond(dx.T @ (w[:, None] * dx))
+    return conds
+
+
 def check_wlsq_exactness():
+    """Each row's error within 1e-10 and within 100 x its rounding scale,
+    cond_i * eps * max|A|, so that a well-conditioned stencil cannot hide
+    an error behind the bound an ill-conditioned one needs."""
     rng = np.random.default_rng(17)
-    worst = 0.0
+    worst, worst_ratio, ok = 0.0, 0.0, True
     for _ in range(10):
         pos = rng.uniform(-1, 1, size=(80, 2))
         a = rng.normal(size=(2, 2))
         b = rng.normal(size=2)
         vel = pos @ a.T + b
-        cloud = make_cloud(pos, vel, np.zeros((80, 2, 2)), smoothing_length=0.5, dt=0.1)
-        index = neighbors.build_index(cloud, 0.5)
-        fitted = gfdm.all_gradients(cloud, index, zero_fallback=False)
-        worst = max(worst, np.abs(fitted - a).max())
-    return worst <= 1e-10, f"max linear-field gradient error {worst:.3e}"
+        index = neighbors.build_index(pos, 0.5)
+        fitted = gfdm.all_gradients(pos, vel, index, 0.5, zero_fallback=False)
+        err = np.abs(fitted - a).max(axis=(1, 2))
+        scale = _stencil_conditions(pos, index, 0.5) * np.finfo(float).eps * np.abs(a).max()
+        ok &= bool(np.all(err <= np.minimum(1e-10, 100.0 * scale)))
+        worst = max(worst, err.max())
+        worst_ratio = max(worst_ratio, (err / scale).max())
+    return ok, f"max error {worst:.3e}, worst error/(cond eps max|A|) {worst_ratio:.2f}, bound 100"
 
 
 def check_neighbor_oracle():
     rng = np.random.default_rng(19)
     pos = rng.uniform(0, 1, size=(150, 2))
-    cloud = make_cloud(pos, np.zeros_like(pos), np.zeros((150, 2, 2)), smoothing_length=0.2, dt=0.1)
-    index = neighbors.build_index(cloud, 0.2)
+    index = neighbors.build_index(pos, 0.2)
     brute = neighbors.brute_force_neighbors(pos, 0.2)
     for i, (got, want) in enumerate(zip(index.lists, brute)):
         if not np.array_equal(got, want):

@@ -79,13 +79,17 @@ def test_non_finite_rejected():
         apply_displacements(cloud, bad)
 
 
-@pytest.mark.parametrize("field", ["positions", "velocities"])
+@pytest.mark.parametrize("field", ["positions", "velocities", "grad_velocities"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_make_cloud_rejects_non_finite(field, value):
-    arrays = {"positions": np.zeros((3, 2)), "velocities": np.zeros((3, 2))}
+    arrays = {
+        "positions": np.zeros((3, 2)),
+        "velocities": np.zeros((3, 2)),
+        "grad_velocities": np.zeros((3, 2, 2)),
+    }
     arrays[field][1, 0] = value
     with pytest.raises(NumericInputError):
-        make_cloud(**arrays, grad_velocities=np.zeros((3, 2, 2)), smoothing_length=0.5, dt=0.1)
+        make_cloud(**arrays, smoothing_length=0.5, dt=0.1)
 
 
 @pytest.mark.parametrize("field", ["smoothing_length", "dt"])

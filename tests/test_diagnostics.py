@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from lagmove.cloud import make_cloud
 from lagmove.diagnostics import centroid, eps_volume, eps_x, measure
 from lagmove.errors import DegenerateGeometryError, StructuralError
 from lagmove.scenarios import sample_disc
 
 
-def cloud_from(positions, h=1.0):
-    positions = np.asarray(positions, dtype=float)
-    n, d = positions.shape
-    return make_cloud(
-        positions, np.zeros((n, d)), np.zeros((n, d, d)), smoothing_length=h, dt=0.1
-    )
+def points(positions):
+    return np.asarray(positions, dtype=float)
 
 
 def rotate(points, theta):
@@ -20,16 +15,16 @@ def rotate(points, theta):
     return np.asarray(points) @ q.T
 
 
-def diameter(cloud):
-    return measure(cloud)[0]
+def diameter(positions):
+    return measure(positions)[0]
 
 
-def hull_volume(cloud):
-    return measure(cloud)[1]
+def hull_volume(positions):
+    return measure(positions)[1]
 
 
 def test_centroid_mean():
-    assert np.allclose(centroid(cloud_from([[0.0, 0.0], [2.0, 0.0]])), [1.0, 0.0])
+    assert np.allclose(centroid(points([[0.0, 0.0], [2.0, 0.0]])), [1.0, 0.0])
 
 
 def test_centroid_translates_exactly():
@@ -37,26 +32,26 @@ def test_centroid_translates_exactly():
     pos = rng.normal(size=(30, 2))
     shift = np.array([2.5, -1.75])
     assert np.allclose(
-        centroid(cloud_from(pos + shift)), centroid(cloud_from(pos)) + shift, atol=1e-12
+        centroid(points(pos + shift)), centroid(points(pos)) + shift, atol=1e-12
     )
 
 
 def test_centroid_of_symmetric_ring():
     theta = 2 * np.pi * np.arange(16) / 16
     ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    assert np.abs(centroid(cloud_from(ring))).max() <= 1e-12
+    assert np.abs(centroid(points(ring))).max() <= 1e-12
 
 
 def test_diameter_antipodal():
     theta = 2 * np.pi * np.arange(8) / 8
     pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    assert diameter(cloud_from(pts)) == pytest.approx(2.0)
+    assert diameter(points(pts)) == pytest.approx(2.0)
 
 
 def test_diameter_coincident_points():
     # no full-dimensional hull, so no diameter either
     with pytest.raises(DegenerateGeometryError):
-        measure(cloud_from([[1.0, 1.0]] * 3))
+        measure(points([[1.0, 1.0]] * 3))
 
 
 @pytest.mark.parametrize(
@@ -71,29 +66,29 @@ def test_diameter_coincident_points():
 def test_diameter_matches_all_pairs_oracle(pos):
     diff = pos[:, None, :] - pos[None, :, :]
     brute = np.sqrt((diff**2).sum(-1).max())
-    assert measure(cloud_from(pos))[0] == pytest.approx(brute, rel=1e-15)
+    assert measure(points(pos))[0] == pytest.approx(brute, rel=1e-15)
 
 
 def test_rigid_rotation_leaves_metrics_invariant():
     rng = np.random.default_rng(3)
     pos = rng.normal(size=(60, 2))
     rotated = rotate(pos, 1.234)
-    assert diameter(cloud_from(rotated)) == pytest.approx(
-        diameter(cloud_from(pos)), rel=1e-12
+    assert diameter(points(rotated)) == pytest.approx(
+        diameter(points(pos)), rel=1e-12
     )
-    assert hull_volume(cloud_from(rotated)) == pytest.approx(
-        hull_volume(cloud_from(pos)), rel=1e-12
+    assert hull_volume(points(rotated)) == pytest.approx(
+        hull_volume(points(pos)), rel=1e-12
     )
 
 
 def test_eps_x_values():
-    c = cloud_from([[3.0, 4.0]] * 3)
+    c = points([[3.0, 4.0]] * 3)
     assert eps_x(c, [0.0, 0.0]) == pytest.approx(5.0)
     assert eps_x(c, [3.0, 4.0]) == 0.0
 
 
 def test_hull_volume_unit_square():
-    c = cloud_from([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    c = points([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     assert hull_volume(c) == pytest.approx(1.0)
 
 
@@ -101,15 +96,15 @@ def test_hull_volume_regular_polygon():
     n = 222
     theta = 2 * np.pi * np.arange(n) / n
     pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    assert hull_volume(cloud_from(pts)) == pytest.approx((n / 2) * np.sin(2 * np.pi / n))
+    assert hull_volume(points(pts)) == pytest.approx((n / 2) * np.sin(2 * np.pi / n))
 
 
 def test_hull_volume_interior_points_irrelevant():
     rng = np.random.default_rng(4)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     interior = rng.uniform(0.1, 0.9, size=(40, 2))
-    assert hull_volume(cloud_from(np.vstack([corners, interior]))) == pytest.approx(
-        hull_volume(cloud_from(corners))
+    assert hull_volume(points(np.vstack([corners, interior]))) == pytest.approx(
+        hull_volume(points(corners))
     )
 
 
@@ -117,24 +112,21 @@ def test_hull_volume_3d_unit_cube():
     corners = np.array(
         [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
     )
-    c = make_cloud(
-        corners, np.zeros((8, 3)), np.zeros((8, 3, 3)), smoothing_length=1.0, dt=0.1
-    )
-    assert hull_volume(c) == pytest.approx(1.0)
+    assert hull_volume(corners) == pytest.approx(1.0)
 
 
 def test_hull_volume_degenerate_rejected():
     with pytest.raises(DegenerateGeometryError):
-        hull_volume(cloud_from([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
+        hull_volume(points([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
 
 
 def test_metrics_invariant_under_reordering():
     rng = np.random.default_rng(5)
     pos = rng.normal(size=(40, 2))
     perm = rng.permutation(40)
-    assert diameter(cloud_from(pos[perm])) == diameter(cloud_from(pos))
-    assert hull_volume(cloud_from(pos[perm])) == pytest.approx(hull_volume(cloud_from(pos)))
-    assert np.allclose(centroid(cloud_from(pos[perm])), centroid(cloud_from(pos)))
+    assert diameter(points(pos[perm])) == diameter(points(pos))
+    assert hull_volume(points(pos[perm])) == pytest.approx(hull_volume(points(pos)))
+    assert np.allclose(centroid(points(pos[perm])), centroid(points(pos)))
 
 
 def test_eps_volume_values():

@@ -9,6 +9,7 @@ from lagmove.fields import (
     RigidRotation,
     exact_lissajous_center,
 )
+from lagmove.validate import fd_jacobian
 
 ALL_FIELDS = [
     RigidRotation(center=(0.0, 0.0), omega=1.0),
@@ -17,16 +18,6 @@ ALL_FIELDS = [
     LinearField(A=((1.0, 2.0), (3.0, 4.0)), b=(0.0, 0.0)),
     ModulatedRotation(center=(0.1, 0.2), omega0=1.0, modulation_freq=0.5),
 ]
-
-
-def fd_jacobian(field, x, t, eps=1e-6):
-    jac = np.zeros((2, 2))
-    for j in range(2):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += eps
-        xm[j] -= eps
-        jac[:, j] = (field.evaluate(xp[None], t)[0] - field.evaluate(xm[None], t)[0]) / (2 * eps)
-    return jac
 
 
 def lissajous_velocity(t):

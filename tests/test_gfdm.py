@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from lagmove.cloud import make_cloud
 from lagmove.errors import (
     IllConditionedStencilError,
     StencilDeficiencyError,
@@ -14,11 +13,10 @@ from lagmove.gfdm import all_gradients, wlsq_gradient
 from lagmove.neighbors import build_index
 
 
-def linear_cloud(positions, A, b, h=0.5):
+def linear_field(positions, A, b):
+    """Positions and the velocities of v(x) = A x + b at them."""
     positions = np.asarray(positions, dtype=float)
-    n, d = positions.shape
-    vel = positions @ np.asarray(A, dtype=float).T + np.asarray(b, dtype=float)
-    return make_cloud(positions, vel, np.zeros((n, d, d)), smoothing_length=h, dt=0.1)
+    return positions, positions @ np.asarray(A, dtype=float).T + np.asarray(b, dtype=float)
 
 
 def random_positions(rng, n=80):
@@ -27,17 +25,17 @@ def random_positions(rng, n=80):
 
 def test_reproduces_rotation_gradient():
     rng = np.random.default_rng(0)
-    cloud = linear_cloud(random_positions(rng), [[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])
-    index = build_index(cloud, 0.5)
-    grad = wlsq_gradient(cloud, index, 0)
+    pos, vel = linear_field(random_positions(rng), [[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])
+    index = build_index(pos, 0.5)
+    grad = wlsq_gradient(pos, vel, index, 0.5, 0)
     assert np.abs(grad - [[0.0, -1.0], [1.0, 0.0]]).max() <= 1e-10
 
 
 def test_constant_velocity_gives_zero_gradient():
     rng = np.random.default_rng(1)
-    cloud = linear_cloud(random_positions(rng), np.zeros((2, 2)), [3.0, 5.0])
-    index = build_index(cloud, 0.5)
-    grad = wlsq_gradient(cloud, index, 5)
+    pos, vel = linear_field(random_positions(rng), np.zeros((2, 2)), [3.0, 5.0])
+    index = build_index(pos, 0.5)
+    grad = wlsq_gradient(pos, vel, index, 0.5, 5)
     assert np.abs(grad).max() <= 1e-10
 
 
@@ -46,9 +44,9 @@ def test_exact_linear_reproduction(trial):
     rng = np.random.default_rng(100 + trial)
     A = rng.normal(size=(2, 2))
     b = rng.normal(size=2)
-    cloud = linear_cloud(random_positions(rng), A, b, h=0.7)
-    index = build_index(cloud, 0.7)
-    grads = all_gradients(cloud, index, zero_fallback=False)
+    pos, vel = linear_field(random_positions(rng), A, b)
+    index = build_index(pos, 0.7)
+    grads = all_gradients(pos, vel, index, 0.7, zero_fallback=False)
     assert np.abs(grads - A).max() <= 1e-10
 
 
@@ -56,14 +54,11 @@ def test_translation_invariance():
     rng = np.random.default_rng(7)
     pos = random_positions(rng)
     A, b = rng.normal(size=(2, 2)), rng.normal(size=2)
-    base = linear_cloud(pos, A, b)
+    _, vel = linear_field(pos, A, b)
     # translate positions only; velocity differences are unchanged
-    shifted = linear_cloud(pos, A, b)
-    from dataclasses import replace
-
-    shifted = replace(shifted, positions=pos + np.array([11.0, -4.0]))
-    ga = all_gradients(base, build_index(base, 0.5), zero_fallback=False)
-    gb = all_gradients(shifted, build_index(shifted, 0.5), zero_fallback=False)
+    shifted = pos + np.array([11.0, -4.0])
+    ga = all_gradients(pos, vel, build_index(pos, 0.5), 0.5, zero_fallback=False)
+    gb = all_gradients(shifted, vel, build_index(shifted, 0.5), 0.5, zero_fallback=False)
     assert np.abs(ga - gb).max() <= 1e-12
 
 
@@ -73,13 +68,10 @@ def test_rotation_equivariance():
     theta = 0.61
     q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     A, b = rng.normal(size=(2, 2)), rng.normal(size=2)
-    base = linear_cloud(pos, A, b)
-    vel = base.velocities
-    rotated = make_cloud(
-        pos @ q.T, vel @ q.T, np.zeros((80, 2, 2)), smoothing_length=0.5, dt=0.1
-    )
-    ga = all_gradients(base, build_index(base, 0.5), zero_fallback=False)
-    gb = all_gradients(rotated, build_index(rotated, 0.5), zero_fallback=False)
+    _, vel = linear_field(pos, A, b)
+    rot_pos, rot_vel = pos @ q.T, vel @ q.T
+    ga = all_gradients(pos, vel, build_index(pos, 0.5), 0.5, zero_fallback=False)
+    gb = all_gradients(rot_pos, rot_vel, build_index(rot_pos, 0.5), 0.5, zero_fallback=False)
     assert np.abs(gb - q @ ga @ q.T).max() <= 1e-10
 
 
@@ -90,33 +82,32 @@ def test_first_order_convergence_on_quadratic_field():
         rng = np.random.default_rng(11)
         pos = np.vstack([[0.0, 0.0], rng.uniform(-h, h, size=(40, 2))])
         vel = np.stack([pos[:, 0] ** 2, np.zeros(len(pos))], axis=1)
-        cloud = make_cloud(pos, vel, np.zeros((41, 2, 2)), smoothing_length=h, dt=0.1)
-        grad = wlsq_gradient(cloud, build_index(cloud, 2 * h), 0)
+        grad = wlsq_gradient(pos, vel, build_index(pos, 2 * h), h, 0)
         errs.append(np.abs(grad - np.zeros((2, 2))).max())
     assert errs[1] < errs[0]
     assert errs[0] / errs[1] > 1.4  # roughly first order in h
 
 
 def test_deficient_stencil_raises():
-    cloud = linear_cloud([[0.0, 0.0], [10.0, 10.0], [20.0, 0.0]], np.eye(2), [0.0, 0.0])
-    index = build_index(cloud, 0.5)
+    pos, vel = linear_field([[0.0, 0.0], [10.0, 10.0], [20.0, 0.0]], np.eye(2), [0.0, 0.0])
+    index = build_index(pos, 0.5)
     with pytest.raises(StencilDeficiencyError):
-        wlsq_gradient(cloud, index, 0)
+        wlsq_gradient(pos, vel, index, 0.5, 0)
 
 
 def test_unknown_row_rejected():
-    cloud = linear_cloud([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]], np.eye(2), [0.0, 0.0])
-    index = build_index(cloud, 0.5)
+    pos, vel = linear_field([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]], np.eye(2), [0.0, 0.0])
+    index = build_index(pos, 0.5)
     for row in (3, 99, -1):
         with pytest.raises(StructuralError):
-            wlsq_gradient(cloud, index, row)
+            wlsq_gradient(pos, vel, index, 0.5, row)
 
 
 def test_zero_fallback_with_warning(caplog):
-    cloud = linear_cloud([[0.0, 0.0], [10.0, 10.0], [20.0, 0.0]], np.eye(2), [0.0, 0.0])
-    index = build_index(cloud, 0.5)
+    pos, vel = linear_field([[0.0, 0.0], [10.0, 10.0], [20.0, 0.0]], np.eye(2), [0.0, 0.0])
+    index = build_index(pos, 0.5)
     with caplog.at_level(logging.WARNING, logger="lagmove.gfdm"):
-        grads = all_gradients(cloud, index)
+        grads = all_gradients(pos, vel, index, 0.5)
     assert np.array_equal(grads, np.zeros((3, 2, 2)))
     assert any("fallback" in r.message for r in caplog.records)
 
@@ -137,14 +128,13 @@ def test_batched_fit_matches_per_point_oracle(d, radius, trial, caplog):
     pos = np.vstack([pos, line + 5.0, np.full((1, d), -5.0)])
     n = len(pos)
     vel = np.sin(3.0 * pos) + pos @ rng.normal(size=(d, d)).T
-    cloud = make_cloud(pos, vel, np.zeros((n, d, d)), smoothing_length=radius, dt=0.1)
-    index = build_index(cloud, radius)
+    index = build_index(pos, radius)
     with caplog.at_level(logging.WARNING, logger="lagmove.gfdm"):
-        grads = all_gradients(cloud, index)
+        grads = all_gradients(pos, vel, index, radius)
     fallen = []
     for i in range(n):
         try:
-            ref = wlsq_gradient(cloud, index, i)
+            ref = wlsq_gradient(pos, vel, index, radius, i)
         except (StencilDeficiencyError, IllConditionedStencilError):
             assert np.array_equal(grads[i], np.zeros((d, d)))
             fallen.append(i)
@@ -156,16 +146,16 @@ def test_batched_fit_matches_per_point_oracle(d, radius, trial, caplog):
     assert all(re.search(rf"point {i}\b", m) for i, m in zip(fallen, messages))
 
 
-def collinear_cloud():
-    return linear_cloud([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]], np.eye(2), [0.0, 0.0])
+def collinear_field():
+    return linear_field([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]], np.eye(2), [0.0, 0.0])
 
 
 def test_collinear_stencil_falls_back_with_one_warning_per_point(caplog):
-    cloud = collinear_cloud()
-    index = build_index(cloud, 0.5)
+    pos, vel = collinear_field()
+    index = build_index(pos, 0.5)
     assert index.neighbor_count().min() >= 2  # not deficient: the fit is singular
     with caplog.at_level(logging.WARNING, logger="lagmove.gfdm"):
-        grads = all_gradients(cloud, index)
+        grads = all_gradients(pos, vel, index, 0.5)
     assert np.array_equal(grads, np.zeros((3, 2, 2)))
     messages = [r.getMessage() for r in fallback_warnings(caplog)]
     assert len(messages) == 3
@@ -173,12 +163,12 @@ def test_collinear_stencil_falls_back_with_one_warning_per_point(caplog):
 
 
 def test_collinear_stencil_raises_without_fallback():
-    cloud = collinear_cloud()
-    index = build_index(cloud, 0.5)
+    pos, vel = collinear_field()
+    index = build_index(pos, 0.5)
     with pytest.raises(IllConditionedStencilError):
-        all_gradients(cloud, index, zero_fallback=False)
+        all_gradients(pos, vel, index, 0.5, zero_fallback=False)
     with pytest.raises(IllConditionedStencilError):
-        wlsq_gradient(cloud, index, 1)
+        wlsq_gradient(pos, vel, index, 0.5, 1)
 
 
 @pytest.mark.parametrize(
@@ -190,7 +180,35 @@ def test_error_belongs_to_lowest_failing_row(isolated_first, expected):
     isolated = [[20.0, 20.0]]
     collinear = [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]]
     tail = isolated + collinear if isolated_first else collinear + isolated
-    cloud = linear_cloud(good + tail, np.eye(2), [0.0, 0.0])
-    index = build_index(cloud, 0.5)
+    pos, vel = linear_field(good + tail, np.eye(2), [0.0, 0.0])
+    index = build_index(pos, 0.5)
     with pytest.raises(expected, match=r"point 4\b"):
-        all_gradients(cloud, index, zero_fallback=False)
+        all_gradients(pos, vel, index, 0.5, zero_fallback=False)
+
+
+@pytest.mark.parametrize(
+    "case", ["velocity-rows", "velocity-columns", "flat-arrays", "index-of-another-set"]
+)
+def test_mismatched_shapes_rejected(case):
+    pos, vel = linear_field(random_positions(np.random.default_rng(2)), np.eye(2), [0.0, 0.0])
+    index = build_index(pos, 0.5)
+    args = {
+        "velocity-rows": (pos, vel[:-1]),
+        "velocity-columns": (pos, np.zeros((80, 3))),
+        "flat-arrays": (pos.ravel(), vel.ravel()),
+        "index-of-another-set": (pos[:-1], vel[:-1]),
+    }[case]
+    with pytest.raises(StructuralError):
+        all_gradients(*args, index, 0.5)
+    with pytest.raises(StructuralError):
+        wlsq_gradient(*args, index, 0.5, 0)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.5, np.nan, np.inf])
+def test_bad_smoothing_length_rejected(h):
+    pos, vel = linear_field(random_positions(np.random.default_rng(3)), np.eye(2), [0.0, 0.0])
+    index = build_index(pos, 0.5)
+    with pytest.raises(StructuralError):
+        all_gradients(pos, vel, index, h)
+    with pytest.raises(StructuralError):
+        wlsq_gradient(pos, vel, index, h, 0)

@@ -1,41 +1,30 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from lagmove.cloud import make_cloud
 from lagmove.errors import NumericInputError, StructuralError
 from lagmove.neighbors import brute_force_neighbors, build_index
 
 
-def cloud_from(positions):
-    positions = np.asarray(positions, dtype=float)
-    n, d = positions.shape
-    return make_cloud(
-        positions, np.zeros((n, d)), np.zeros((n, d, d)), smoothing_length=1.0, dt=0.1
-    )
-
-
 def test_two_points_within_radius():
-    index = build_index(cloud_from([[0.0, 0.0], [0.5, 0.0]]), 1.0)
+    index = build_index(np.array([[0.0, 0.0], [0.5, 0.0]]), 1.0)
     assert list(index.lists[0]) == [1]
     assert list(index.lists[1]) == [0]
 
 
 def test_two_points_out_of_radius():
-    index = build_index(cloud_from([[0.0, 0.0], [2.0, 0.0]]), 1.0)
+    index = build_index(np.array([[0.0, 0.0], [2.0, 0.0]]), 1.0)
     assert len(index.lists[0]) == 0
     assert len(index.lists[1]) == 0
 
 
 def test_tie_at_exact_radius_included():
-    index = build_index(cloud_from([[0.0, 0.0], [1.0, 0.0]]), 1.0)
+    index = build_index(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0)
     assert list(index.lists[0]) == [1]
 
 
 def test_neighbors_sorted_ascending():
     pos = [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [-0.1, 0.0], [5.0, 5.0]]
-    index = build_index(cloud_from(pos), 0.5)
+    index = build_index(np.array(pos), 0.5)
     nbrs = index.lists[0]
     assert list(nbrs) == sorted(nbrs)
     assert list(index.lists[4]) == []
@@ -43,26 +32,32 @@ def test_neighbors_sorted_ascending():
 
 def test_invalid_inputs_rejected():
     with pytest.raises(StructuralError):
-        build_index(cloud_from([[0.0, 0.0], [1.0, 0.0]]), 0.0)
+        build_index(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.0)
     with pytest.raises(StructuralError):
-        build_index(cloud_from([[0.0, 0.0], [1.0, 0.0]]), np.nan)
+        build_index(np.array([[0.0, 0.0], [1.0, 0.0]]), np.nan)
+    with pytest.raises(StructuralError):
+        build_index(np.zeros((0, 2)), 1.0)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+def test_non_matrix_positions_rejected(shape):
+    with pytest.raises(StructuralError):
+        build_index(np.zeros(shape), 1.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_positions_rejected(value):
-    # probe clouds are built with dataclasses.replace, which skips make_cloud's checks
-    cloud = cloud_from([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
-    bad = cloud.positions.copy()
-    bad[1, 1] = value
+    pos = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+    pos[1, 1] = value
     with pytest.raises(NumericInputError):
-        build_index(replace(cloud, positions=bad), 1.0)
+        build_index(pos, 1.0)
 
 
 @pytest.mark.parametrize("trial", range(10))
 def test_matches_brute_force_2d(trial):
     rng = np.random.default_rng(trial)
     pos = rng.uniform(0.0, 1.0, size=(100, 2))
-    index = build_index(cloud_from(pos), 0.2)
+    index = build_index(pos, 0.2)
     brute = brute_force_neighbors(pos, 0.2)
     for i in range(100):
         assert np.array_equal(index.lists[i], brute[i])
@@ -71,10 +66,7 @@ def test_matches_brute_force_2d(trial):
 def test_matches_brute_force_3d():
     rng = np.random.default_rng(99)
     pos = rng.uniform(0.0, 1.0, size=(120, 3))
-    cloud = make_cloud(
-        pos, np.zeros((120, 3)), np.zeros((120, 3, 3)), smoothing_length=1.0, dt=0.1
-    )
-    index = build_index(cloud, 0.3)
+    index = build_index(pos, 0.3)
     brute = brute_force_neighbors(pos, 0.3)
     for i in range(120):
         assert np.array_equal(index.lists[i], brute[i])
@@ -83,7 +75,7 @@ def test_matches_brute_force_3d():
 def test_symmetry():
     rng = np.random.default_rng(3)
     pos = rng.uniform(0.0, 1.0, size=(60, 2))
-    index = build_index(cloud_from(pos), 0.25)
+    index = build_index(pos, 0.25)
     for i in range(60):
         for j in index.lists[i]:
             assert i in index.lists[j]
@@ -92,7 +84,7 @@ def test_symmetry():
 def test_rigid_translation_preserves_topology():
     rng = np.random.default_rng(5)
     pos = rng.uniform(0.0, 1.0, size=(80, 2))
-    a = build_index(cloud_from(pos), 0.2)
-    b = build_index(cloud_from(pos + np.array([13.0, -7.0])), 0.2)
+    a = build_index(pos, 0.2)
+    b = build_index(pos + np.array([13.0, -7.0]), 0.2)
     for la, lb in zip(a.lists, b.lists):
         assert np.array_equal(la, lb)
