@@ -16,6 +16,7 @@ from .fields import (
 )
 from .gfdm import all_gradients, wlsq_gradient
 from .movers import (
+    LevelSeries,
     MoveContext,
     MoverKind,
     displacement,

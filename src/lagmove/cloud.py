@@ -4,6 +4,11 @@ Storage is structure-of-arrays: one (N, d) array per per-point field,
 row i of each belonging to point i. Operations return new clouds; arrays
 of the input are never mutated. The cloud is the driver's state: only
 ``scenarios`` reads its layout, and the kernels below it take arrays.
+
+Besides the two velocity levels the cloud carries ``series_prev``, the m4
+mover's series of the previous level. The mover returns it for the
+current level, and ``advance_history`` shifts it into place with the
+velocities, so the next m4 step need not compute it again.
 """
 from __future__ import annotations
 
@@ -12,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericInputError, StructuralError
+from .movers import LevelSeries
 
 
 @dataclass(frozen=True)
@@ -26,6 +32,7 @@ class PointCloud:
     initial_time: float = 0.0
     step: int = 0
     has_history: bool = False
+    series_prev: LevelSeries | None = None  # m4 series of the previous level
 
     @property
     def time(self) -> float:
@@ -86,9 +93,12 @@ def advance_history(
     cloud: PointCloud,
     new_velocities: np.ndarray,
     new_gradients: np.ndarray,
+    series: LevelSeries | None = None,
 ) -> PointCloud:
     """Shift the current velocity/gradient into history and install the new level.
 
+    ``series`` is the m4 series of the level being shifted out (the mover's
+    current-level series); it becomes ``series_prev``, and None drops it.
     Increments the step counter; time follows from it.
     """
     n, d = cloud.positions.shape
@@ -100,6 +110,7 @@ def advance_history(
         velocities_prev=cloud.velocities,
         grad_velocities=new_gradients,
         grad_velocities_prev=cloud.grad_velocities,
+        series_prev=series,
         step=cloud.step + 1,
         has_history=True,
     )

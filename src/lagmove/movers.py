@@ -8,10 +8,13 @@ time step by integrating a characteristic-velocity ODE:
   m3  movement along the frozen-time streamline; the matrix-exponential
       integral is truncated after K terms (default 5).
   m4  movement along the change of streamlines between the two levels;
-      reduces to m2 when both gradients vanish.
+      reduces to m2 when both gradients vanish. Its old level's series is
+      the new level's series of the step before, so m4 returns that series
+      with the displacement and reads it back through ``MoveContext``.
 
 All functions are vectorized over points: velocities are (N, d), gradients
-(N, d, d).
+(N, d, d). The series kernel works on components: each matrix-vector
+product is d^2 elementwise multiply-adds over the point axis.
 """
 from __future__ import annotations
 
@@ -48,12 +51,24 @@ class MoverKind:
 
 
 @dataclass(frozen=True)
+class LevelSeries:
+    """m4's offset-1 series of one velocity level, tagged with the time step
+    and term count it was computed with; it is reused only when both match."""
+
+    values: np.ndarray      # (N, d)
+    dt: float
+    terms: int
+
+
+@dataclass(frozen=True)
 class MoveContext:
     """Per-step inputs for all movers, batched over points.
 
     ``dt_history`` is the spacing between the stored velocity levels; it
     equals ``dt`` except on a shortened final step, where the backward
-    differences keep their original spacing.
+    differences keep their original spacing. ``series_prev`` is m4's
+    series of the previous level (``v_prev``, ``grad_prev``) from the step
+    before, or None to compute it.
     """
 
     dt: float
@@ -63,6 +78,7 @@ class MoveContext:
     grad_prev: np.ndarray   # (N, d, d)
     has_history: bool
     dt_history: float = 0.0
+    series_prev: LevelSeries | None = None
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -72,6 +88,8 @@ class MoveContext:
         for name in ("v_n", "grad_n"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise NumericInputError(f"{name} contains non-finite entries")
+        if self.series_prev is not None and self.series_prev.values.shape != self.v_n.shape:
+            raise StructuralError("series_prev does not match the velocity shape")
 
 
 def _require_history(ctx: MoveContext, mover: str) -> None:
@@ -89,7 +107,9 @@ def exp_series_apply(
     Returns sum_{k=0}^{terms-1} grad^k v dt^(k+1+offset) / (k+1+offset)!
     evaluated by iterated matrix-vector products; grad powers are never
     formed explicitly. offset=0 is the streamline displacement series,
-    offset=1 the inner sums of the change-of-streamlines scheme.
+    offset=1 the inner sums of the change-of-streamlines scheme. Each
+    product works on the components g[i][j] = grad[..., i, j] and
+    w[i] = v[..., i], so one code path serves any dimension.
     """
     if terms < 1:
         raise StructuralError("terms must be >= 1")
@@ -97,14 +117,28 @@ def exp_series_apply(
         raise StructuralError("offset must be 0 or 1")
     grad = np.asarray(grad, dtype=float)
     v = np.asarray(v, dtype=float)
-    w = v.copy()                       # grad^k v
+    if v.ndim == 0 or grad.shape != v.shape + v.shape[-1:]:
+        raise StructuralError(f"grad of shape {grad.shape} does not match v of shape {v.shape}")
+    d = v.shape[-1]
+    g = [[grad[..., i, j] for j in range(d)] for i in range(d)]
+    w = [v[..., i] for i in range(d)]         # components of grad^k v
     p = offset + 1
-    out = (dt**p / math.factorial(p)) * w
+    out = [(dt**p / math.factorial(p)) * wi for wi in w]
     for k in range(1, terms):
-        w = np.einsum("...ij,...j->...i", grad, w)
+        w = [_row_dot(gi, w) for gi in g]
         p = k + offset + 1
-        out += (dt**p / math.factorial(p)) * w
-    return out
+        c = dt**p / math.factorial(p)
+        for i in range(d):
+            out[i] += c * w[i]
+    return np.stack(out, axis=-1)
+
+
+def _row_dot(row: list, w: list) -> np.ndarray:
+    """sum_j row[j] * w[j], accumulated in j order."""
+    acc = row[0] * w[0]
+    for j in range(1, len(w)):
+        acc += row[j] * w[j]
+    return acc
 
 
 def move_m1(ctx: MoveContext) -> np.ndarray:
@@ -121,19 +155,30 @@ def move_m3(ctx: MoveContext, terms: int = DEFAULT_TERMS) -> np.ndarray:
     return exp_series_apply(ctx.grad_n, ctx.v_n, ctx.dt, terms, offset=0)
 
 
-def move_m4(ctx: MoveContext, terms: int = DEFAULT_TERMS) -> np.ndarray:
+def move_m4(ctx: MoveContext, terms: int = DEFAULT_TERMS) -> tuple[np.ndarray, LevelSeries]:
+    """Displacement, and the current level's series for the next step.
+
+    The old level's series is read from ``ctx.series_prev`` when it was
+    computed with this step's dt and term count, and computed otherwise.
+    """
     _require_history(ctx, "m4")
     s_now = exp_series_apply(ctx.grad_n, ctx.v_n, ctx.dt, terms, offset=1)
-    s_old = exp_series_apply(ctx.grad_prev, ctx.v_prev, ctx.dt, terms, offset=1)
-    return ctx.v_n * ctx.dt + (s_now - s_old) / ctx.dt_history
+    old = ctx.series_prev
+    if old is not None and old.dt == ctx.dt and old.terms == terms:
+        s_old = old.values
+    else:
+        s_old = exp_series_apply(ctx.grad_prev, ctx.v_prev, ctx.dt, terms, offset=1)
+    disp = ctx.v_n * ctx.dt + (s_now - s_old) / ctx.dt_history
+    return disp, LevelSeries(s_now, ctx.dt, terms)
 
 
-def displacement(mover: MoverKind, ctx: MoveContext) -> np.ndarray:
-    """Dispatch to the scheme named by ``mover``."""
+def displacement(mover: MoverKind, ctx: MoveContext) -> tuple[np.ndarray, LevelSeries | None]:
+    """Dispatch to the scheme named by ``mover``: the displacement, and for
+    m4 the current level's series (None for the other schemes)."""
     if mover.name == "m1":
-        return move_m1(ctx)
+        return move_m1(ctx), None
     if mover.name == "m2":
-        return move_m2(ctx)
+        return move_m2(ctx), None
     if mover.name == "m3":
-        return move_m3(ctx, mover.terms)
+        return move_m3(ctx, mover.terms), None
     return move_m4(ctx, mover.terms)

@@ -190,6 +190,8 @@ def step(
     backward differences inside the movers keep the regular spacing, only
     the integration interval shrinks, and the returned cloud keeps the
     original dt and step numbering, with its clock pinned to the landing time.
+    The m4 series the mover returns is kept for the next step, except after
+    a shortened step, whose series belongs to another dt.
     """
     mover = config.mover if cloud.has_history else config.mover.bootstrap
     ctx = movers.MoveContext(
@@ -200,16 +202,18 @@ def step(
         grad_prev=cloud.grad_velocities_prev,
         has_history=cloud.has_history,
         dt_history=cloud.dt,
+        series_prev=cloud.series_prev,
     )
-    moved = apply_displacements(cloud, movers.displacement(mover, ctx))
+    disp, series = movers.displacement(mover, ctx)
+    moved = apply_displacements(cloud, disp)
     if dt is None:
         t_new = moved.initial_time + (moved.step + 1) * moved.dt
     else:
         t_new = cloud.time + dt
     v_new, g_new = _field_state(scenario, config, moved.positions, t_new, moved.smoothing_length)
-    out = advance_history(moved, v_new, g_new)
     if dt is None:
-        return out
+        return advance_history(moved, v_new, g_new, series)
+    out = advance_history(moved, v_new, g_new)
     return replace(out, initial_time=t_new - out.step * out.dt)
 
 

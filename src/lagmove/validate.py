@@ -42,7 +42,7 @@ def check_reduction_identities():
         zero = np.zeros((4, 2, 2))
         ctx = movers.MoveContext(0.1, v, vp, zero, zero, True)
         worst = max(worst, np.abs(movers.move_m3(ctx) - movers.move_m1(ctx)).max())
-        worst = max(worst, np.abs(movers.move_m4(ctx) - movers.move_m2(ctx)).max())
+        worst = max(worst, np.abs(movers.move_m4(ctx)[0] - movers.move_m2(ctx)).max())
     return worst <= 1e-15, f"max reduction mismatch {worst:.3e}"
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lagmove.diagnostics import centroid, eps_volume, eps_x, measure
-from lagmove.errors import DegenerateGeometryError, StructuralError
+from lagmove.errors import DegenerateGeometryError, NumericInputError, StructuralError
 from lagmove.scenarios import sample_disc
 
 
@@ -134,3 +134,27 @@ def test_eps_volume_values():
     assert eps_volume(2.0, 1.0) == 0.5
     with pytest.raises(StructuralError):
         eps_volume(0.0, 1.0)
+
+
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+
+
+def test_non_matrix_positions_rejected():
+    for fn in (centroid, measure, lambda p: eps_x(p, [0.0, 0.0])):
+        with pytest.raises(StructuralError):
+            fn(np.zeros(5))
+
+
+def test_list_positions_rejected():
+    for fn in (centroid, measure, lambda p: eps_x(p, [0.0, 0.0])):
+        with pytest.raises(StructuralError):
+            fn(SQUARE)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_positions_rejected(value):
+    pos = points(SQUARE)
+    pos[2, 0] = value
+    for fn in (centroid, measure, lambda p: eps_x(p, [0.0, 0.0])):
+        with pytest.raises(NumericInputError):
+            fn(pos)

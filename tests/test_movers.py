@@ -131,6 +131,55 @@ def test_series_rejects_bad_args():
         exp_series_apply(np.zeros((1, 2, 2)), np.zeros((1, 2)), 0.1, 5, offset=2)
 
 
+@pytest.mark.parametrize(
+    "grad_shape, v_shape", [((4, 3, 3), (4, 2)), ((4, 2, 2), (3, 2))], ids=["dim", "rows"]
+)
+def test_series_rejects_mismatched_shapes(grad_shape, v_shape):
+    with pytest.raises(StructuralError):
+        exp_series_apply(np.zeros(grad_shape), np.zeros(v_shape), 0.1, 5)
+
+
+def einsum_series(a, v, dt, terms, offset):
+    # the batched mat-vec reference, with the kernel's order of accumulation
+    out, w = dt ** (offset + 1) / math.factorial(offset + 1) * v, v
+    for p in range(offset + 2, offset + terms + 1):
+        w = np.einsum("...ij,...j->...i", a, w)
+        out = out + dt**p / math.factorial(p) * w
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_series_matches_einsum_reference(d):
+    # d = 2 sums two products per component, in either order the same
+    # bits; d = 3 may sum three in another order than einsum
+    rng = np.random.default_rng(5)
+    for terms in range(1, 9):
+        for offset in (0, 1):
+            a = rng.normal(size=(40, d, d))
+            v = rng.normal(size=(40, d))
+            dt = rng.uniform(0.01, 0.3)
+            got = exp_series_apply(a, v, dt, terms, offset)
+            ref = einsum_series(a, v, dt, terms, offset)
+            if d == 2:
+                assert np.array_equal(got, ref)
+            else:
+                assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_m4_cached_series_matches_recomputation():
+    rng = np.random.default_rng(6)
+    dt = 0.07
+    v_prev, g_prev = rng.normal(size=(6, 2)), rng.normal(size=(6, 2, 2))
+    series = None
+    for _ in range(10):
+        v, g = rng.normal(size=(6, 2)), rng.normal(size=(6, 2, 2))
+        disp, series = move_m4(MoveContext(dt, v, v_prev, g, g_prev, True, series_prev=series))
+        assert np.array_equal(disp, move_m4(MoveContext(dt, v, v_prev, g, g_prev, True))[0])
+        v_prev, g_prev = v, g
+    with pytest.raises(StructuralError):
+        MoveContext(dt, v[:3], v_prev[:3], g[:3], g_prev[:3], True, series_prev=series)
+
+
 def test_m3_single_step_rotation_accuracy():
     a = np.array([[[0.0, -1.0], [1.0, 0.0]]])
     v = np.array([[0.0, 1.0]])  # field at (1, 0)
@@ -153,14 +202,14 @@ def test_reduction_m4_to_m2_without_gradients():
         ctx = ctx_of(
             rng.normal(size=(5, 2)), v_prev=rng.normal(size=(5, 2)), dt=rng.uniform(0.01, 0.3)
         )
-        m4, m2 = move_m4(ctx), move_m2(ctx)
+        m4, m2 = move_m4(ctx)[0], move_m2(ctx)
         assert np.abs(m4 - m2).max() <= 1e-15 * max(1.0, np.abs(m2).max())
 
 
 def test_m4_steady_zero_gradient_matches_m3():
     # with A = 0 and steady velocity, m4 collapses to the m3 (= m1) value
     ctx = ctx_of([1.0, 2.0], v_prev=[1.0, 2.0], dt=0.1)
-    assert np.allclose(move_m4(ctx), move_m3(ctx))
+    assert np.allclose(move_m4(ctx)[0], move_m3(ctx))
 
 
 def test_zero_velocity_fixed_point():
@@ -171,7 +220,7 @@ def test_zero_velocity_fixed_point():
         grad_prev=np.array([[[0.1, 0.0], [0.0, -0.1]]]),
     )
     for kind in ("m1", "m2", "m3", "m4"):
-        assert np.array_equal(displacement(MoverKind(kind), ctx), np.zeros((1, 2)))
+        assert np.array_equal(displacement(MoverKind(kind), ctx)[0], np.zeros((1, 2)))
 
 
 def test_mover_kind_validation_and_bootstrap():

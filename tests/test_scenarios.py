@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lagmove import movers
 from lagmove.cloud import make_cloud
 from lagmove.errors import StructuralError
 from lagmove.movers import MoverKind
@@ -188,3 +189,46 @@ def test_modulated_rotation_trajectory_ordering():
         q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         errs[m] = np.linalg.norm(cloud.positions - x0 @ q.T, axis=1).max()
     assert errs["m4"] < errs["m2"] < errs["m1"]
+
+
+@pytest.mark.parametrize("t_end, calls", [(1.0, 21), (1.02, 23)], ids=["whole", "short-last"])
+def test_m4_series_calls_per_run(monkeypatch, t_end, calls):
+    # bootstrap m3: 1 call; first m4 step: 2; every later m4 step: 1, as
+    # the old level's series is the last step's new one; the short last
+    # step uses another dt, so it computes both
+    offsets = []
+    original = movers.exp_series_apply
+
+    def counted(grad, v, dt, terms, offset=0):
+        offsets.append(offset)
+        return original(grad, v, dt, terms, offset)
+
+    monkeypatch.setattr(movers, "exp_series_apply", counted)
+    run(make_scenario("modulated-rotation", t_end=t_end), config("m4", dt=0.05))
+    assert len(offsets) == calls
+
+
+def m4_cloud(sc, cfg, steps=3):
+    cloud = initial_cloud(sc, cfg)
+    for _ in range(steps):
+        cloud = step(cloud, sc, cfg)
+    assert cloud.series_prev is not None
+    return cloud
+
+
+def test_short_step_neither_reads_nor_keeps_series():
+    sc = make_scenario("modulated-rotation")
+    cfg = config("m4", dt=0.05)
+    cloud = m4_cloud(sc, cfg)
+    short = step(cloud, sc, cfg, dt=0.02)
+    assert short.series_prev is None
+    fresh = step(step(replace(cloud, series_prev=None), sc, cfg, dt=0.02), sc, cfg)
+    assert np.array_equal(step(short, sc, cfg).positions, fresh.positions)
+
+
+def test_term_count_change_recomputes_series():
+    sc = make_scenario("modulated-rotation")
+    cloud = m4_cloud(sc, RunConfig(mover=MoverKind("m4", 5), dt=0.05))
+    cfg7 = RunConfig(mover=MoverKind("m4", 7), dt=0.05)
+    fresh = step(replace(cloud, series_prev=None), sc, cfg7)
+    assert np.array_equal(step(cloud, sc, cfg7).positions, fresh.positions)
