@@ -25,10 +25,7 @@ def _fmt(x: float) -> str:
 def write_csv(records: list[DiagnosticsRecord], path: str) -> None:
     if not records:
         raise StructuralError("no records to write")
-    dim = len(records[0].centroid)
-    centroid_cols = ["centroid_x", "centroid_y"] + (["centroid_z"] if dim == 3 else [])
-    header = ["step", "time"] + centroid_cols + ["diameter", "hull_volume", "eps_dia", "eps_x", "eps_V"]
-    lines = [",".join(header)]
+    lines = ["step,time,centroid_x,centroid_y,diameter,hull_volume,eps_dia,eps_x,eps_V"]
     for r in records:
         row = [str(r.step), _fmt(r.time)]
         row += [_fmt(c) for c in r.centroid]

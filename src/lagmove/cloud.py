@@ -1,6 +1,6 @@
 """Point-cloud state: positions, kinematic history and bookkeeping.
 
-Storage is structure-of-arrays: one (N, d) array per per-point field,
+Storage is structure-of-arrays: one (N, 2) array per per-point field,
 row i of each belonging to point i. Operations return new clouds; arrays
 of the input are never mutated. The cloud is the driver's state: only
 ``scenarios`` reads its layout, and the kernels below it take arrays.
@@ -16,17 +16,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericInputError, StructuralError
+from .errors import check_points, check_positive
 from .movers import LevelSeries
 
 
 @dataclass(frozen=True)
 class PointCloud:
-    positions: np.ndarray             # (N, d)
-    velocities: np.ndarray            # (N, d), current level
-    velocities_prev: np.ndarray       # (N, d), previous level
-    grad_velocities: np.ndarray       # (N, d, d), current level
-    grad_velocities_prev: np.ndarray  # (N, d, d), previous level
+    positions: np.ndarray             # (N, 2)
+    velocities: np.ndarray            # (N, 2), current level
+    velocities_prev: np.ndarray       # (N, 2), previous level
+    grad_velocities: np.ndarray       # (N, 2, 2), current level
+    grad_velocities_prev: np.ndarray  # (N, 2, 2), previous level
     smoothing_length: float
     dt: float
     initial_time: float = 0.0
@@ -40,19 +40,13 @@ class PointCloud:
         return self.initial_time + self.step * self.dt
 
     def validate(self) -> None:
-        n, d = self.positions.shape
-        if d not in (2, 3):
-            raise StructuralError(f"dimension must be 2 or 3, got {d}")
-        for name in ("positions", "velocities", "velocities_prev"):
-            _check_aligned(getattr(self, name), (n, d), name)
+        n = len(check_points(self.positions, "positions"))
+        for name in ("velocities", "velocities_prev"):
+            check_points(getattr(self, name), name, n)
         for name in ("grad_velocities", "grad_velocities_prev"):
-            _check_aligned(getattr(self, name), (n, d, d), name)
-        if not (np.isfinite(self.smoothing_length) and np.isfinite(self.dt)):
-            raise NumericInputError("smoothing_length and dt must be finite")
-        if self.smoothing_length <= 0:
-            raise StructuralError("smoothing_length must be positive")
-        if self.dt <= 0:
-            raise StructuralError("dt must be positive")
+            check_points(getattr(self, name), name, n, gradient=True)
+        check_positive(self.smoothing_length, "smoothing_length")
+        check_positive(self.dt, "dt")
 
 
 def make_cloud(
@@ -80,15 +74,6 @@ def make_cloud(
     return cloud
 
 
-def _check_aligned(arr: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != shape:
-        raise StructuralError(f"{what} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericInputError(f"{what} contains non-finite entries")
-    return arr
-
-
 def advance_history(
     cloud: PointCloud,
     new_velocities: np.ndarray,
@@ -101,9 +86,11 @@ def advance_history(
     current-level series); it becomes ``series_prev``, and None drops it.
     Increments the step counter; time follows from it.
     """
-    n, d = cloud.positions.shape
-    new_velocities = _check_aligned(new_velocities, (n, d), "new_velocities")
-    new_gradients = _check_aligned(new_gradients, (n, d, d), "new_gradients")
+    n = len(cloud.positions)
+    new_velocities = check_points(np.asarray(new_velocities, dtype=float), "new_velocities", n)
+    new_gradients = check_points(
+        np.asarray(new_gradients, dtype=float), "new_gradients", n, gradient=True
+    )
     return replace(
         cloud,
         velocities=new_velocities,
@@ -118,6 +105,7 @@ def advance_history(
 
 def apply_displacements(cloud: PointCloud, displacements: np.ndarray) -> PointCloud:
     """Move every point by its displacement; nothing else changes."""
-    n, d = cloud.positions.shape
-    displacements = _check_aligned(displacements, (n, d), "displacements")
+    displacements = check_points(
+        np.asarray(displacements, dtype=float), "displacements", len(cloud.positions)
+    )
     return replace(cloud, positions=cloud.positions + displacements)

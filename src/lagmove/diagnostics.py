@@ -2,8 +2,8 @@
 
 Definitions: the numerical diameter is the maximum pairwise distance, the
 numerical center is the arithmetic mean of positions, and the occupied
-volume is the convex-hull measure (area in 2D). The measures take a
-finite (N, d) position array, not a cloud: the cloud is the driver's state.
+volume is the convex-hull area. The measures take a finite (N, 2)
+position array, not a cloud: the cloud is the driver's state.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DegenerateGeometryError, NumericInputError, StructuralError
+from .errors import DegenerateGeometryError, check_points, check_positive
 
 
 @dataclass(frozen=True)
@@ -27,30 +27,17 @@ class DiagnosticsRecord:
     eps_V: float
 
 
-def _check_positions(positions: np.ndarray) -> None:
-    if not isinstance(positions, np.ndarray):
-        raise StructuralError(f"positions must be an (N, d) array, not {type(positions).__name__}")
-    if positions.ndim != 2:
-        raise StructuralError(f"positions must be an (N, d) array, got shape {positions.shape}")
-    if not np.all(np.isfinite(positions)):
-        raise NumericInputError("positions contain non-finite entries")
-
-
 def centroid(positions: np.ndarray) -> np.ndarray:
-    _check_positions(positions)
-    if len(positions) == 0:
-        raise StructuralError("centroid of an empty point set")
-    return positions.mean(axis=0)
+    return check_points(positions, "positions").mean(axis=0)
 
 
 def measure(positions: np.ndarray) -> tuple[float, float]:
-    """Diameter and convex-hull measure (polygon area in 2D), from one hull.
+    """Diameter and convex-hull area, from one hull.
 
     The farthest pair of a point set is a pair of hull vertices, so the
     diameter is the maximum pairwise distance over the vertices alone.
     """
-    _check_positions(positions)
-    if len(positions) < positions.shape[1] + 1:
+    if len(check_points(positions, "positions")) < 3:
         raise DegenerateGeometryError("too few points for a full-dimensional hull")
     try:
         hull = ConvexHull(positions)
@@ -68,6 +55,5 @@ def eps_x(positions: np.ndarray, x_exact: np.ndarray) -> float:
 
 def eps_volume(v0: float, v_end: float) -> float:
     """Relative change of occupied volume between start and end."""
-    if v0 <= 0:
-        raise StructuralError("initial volume must be positive")
+    check_positive(v0, "initial volume")
     return abs(v0 - v_end) / v0

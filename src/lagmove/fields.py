@@ -1,7 +1,8 @@
 """Prescribed analytic velocity fields with exact spatial Jacobians.
 
 Every field is a pure function of (x, t). ``evaluate`` accepts positions of
-shape (N, d) and returns (N, d); ``gradient`` returns (N, d, d). Exact
+shape (N, 2) and returns (N, 2); ``gradient`` returns (N, 2, 2). Positions
+are checked by shape only: the driver scans what the fields return. Exact
 gradients let integrator error be separated from reconstruction error.
 """
 from __future__ import annotations
@@ -10,16 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import check_points
 
 _ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def _check_2d(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 2:
-        raise DimensionError(f"expected (N, 2) positions, got shape {x.shape}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -31,12 +25,12 @@ class RigidRotation:
     name: str = field(default="rigid-rotation", init=False)
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = _check_2d(x)
+        check_points(x, "x", finite=False)
         rel = x - np.asarray(self.center)
         return self.omega * rel @ _ROT90.T
 
     def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = _check_2d(x)
+        check_points(x, "x", finite=False)
         return np.broadcast_to(self.omega * _ROT90, (x.shape[0], 2, 2)).copy()
 
 
@@ -47,12 +41,12 @@ class Lissajous:
     name: str = field(default="lissajous", init=False)
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = _check_2d(x)
+        check_points(x, "x", finite=False)
         v = np.array([15.0 * np.cos(5.0 * t + np.pi / 2.0), 4.0 * np.cos(4.0 * t)])
         return np.broadcast_to(v, x.shape).copy()
 
     def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = _check_2d(x)
+        check_points(x, "x", finite=False)
         return np.zeros((x.shape[0], 2, 2))
 
 
@@ -77,13 +71,12 @@ class LinearField:
         return np.asarray(self.A, dtype=float)
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        check_points(x, "x", finite=False)
         return x @ self._matrix().T + np.asarray(self.b, dtype=float)
 
     def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        d = x.shape[1]
-        return np.broadcast_to(self._matrix(), (x.shape[0], d, d)).copy()
+        check_points(x, "x", finite=False)
+        return np.broadcast_to(self._matrix(), (x.shape[0], 2, 2)).copy()
 
 
 @dataclass(frozen=True)
@@ -108,12 +101,12 @@ class ModulatedRotation:
         return self.omega0 * (1.0 + 0.5 * np.sin(2.0 * np.pi * self.modulation_freq * t))
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = _check_2d(x)
+        check_points(x, "x", finite=False)
         rel = x - np.asarray(self.center)
         return self.rate(t) * rel @ _ROT90.T
 
     def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = _check_2d(x)
+        check_points(x, "x", finite=False)
         return np.broadcast_to(self.rate(t) * _ROT90, (x.shape[0], 2, 2)).copy()
 
     def angle(self, t: float) -> float:

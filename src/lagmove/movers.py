@@ -12,9 +12,9 @@ time step by integrating a characteristic-velocity ODE:
       the new level's series of the step before, so m4 returns that series
       with the displacement and reads it back through ``MoveContext``.
 
-All functions are vectorized over points: velocities are (N, d), gradients
-(N, d, d). The series kernel works on components: each matrix-vector
-product is d^2 elementwise multiply-adds over the point axis.
+All functions are vectorized over points: velocities are (N, 2), gradients
+(N, 2, 2). The series kernel works on components: each matrix-vector
+product is four elementwise multiply-adds over the point axis.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HistoryMissingError, NumericInputError, StructuralError
+from .errors import HistoryMissingError, StructuralError, check_points, check_positive
 
 DEFAULT_TERMS = 5
 MOVER_NAMES = ("m1", "m2", "m3", "m4")
@@ -55,7 +55,7 @@ class LevelSeries:
     """m4's offset-1 series of one velocity level, tagged with the time step
     and term count it was computed with; it is reused only when both match."""
 
-    values: np.ndarray      # (N, d)
+    values: np.ndarray      # (N, 2)
     dt: float
     terms: int
 
@@ -65,31 +65,35 @@ class MoveContext:
     """Per-step inputs for all movers, batched over points.
 
     ``dt_history`` is the spacing between the stored velocity levels; it
-    equals ``dt`` except on a shortened final step, where the backward
-    differences keep their original spacing. ``series_prev`` is m4's
-    series of the previous level (``v_prev``, ``grad_prev``) from the step
-    before, or None to compute it.
+    equals ``dt`` (the default, None) except on a shortened final step,
+    where the backward differences keep their original spacing.
+    ``series_prev`` is m4's series of the previous level (``v_prev``,
+    ``grad_prev``) from the step before, or None to compute it.
+
+    ``v_n`` and ``grad_n`` are scanned for non-finite entries; the previous
+    level (scanned when it was current) and ``series_prev`` only by shape.
     """
 
     dt: float
-    v_n: np.ndarray         # (N, d)
-    v_prev: np.ndarray      # (N, d)
-    grad_n: np.ndarray      # (N, d, d)
-    grad_prev: np.ndarray   # (N, d, d)
+    v_n: np.ndarray         # (N, 2)
+    v_prev: np.ndarray      # (N, 2)
+    grad_n: np.ndarray      # (N, 2, 2)
+    grad_prev: np.ndarray   # (N, 2, 2)
     has_history: bool
-    dt_history: float = 0.0
+    dt_history: float | None = None
     series_prev: LevelSeries | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise StructuralError("dt must be positive")
-        if self.dt_history == 0.0:
+        check_positive(self.dt, "dt")
+        if self.dt_history is None:
             object.__setattr__(self, "dt_history", self.dt)
-        for name in ("v_n", "grad_n"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise NumericInputError(f"{name} contains non-finite entries")
-        if self.series_prev is not None and self.series_prev.values.shape != self.v_n.shape:
-            raise StructuralError("series_prev does not match the velocity shape")
+        check_positive(self.dt_history, "dt_history")
+        n = len(check_points(self.v_n, "v_n"))
+        check_points(self.grad_n, "grad_n", n, gradient=True)
+        check_points(self.v_prev, "v_prev", n, finite=False)
+        check_points(self.grad_prev, "grad_prev", n, gradient=True, finite=False)
+        if self.series_prev is not None:
+            check_points(self.series_prev.values, "series_prev", n, finite=False)
 
 
 def _require_history(ctx: MoveContext, mover: str) -> None:
@@ -108,37 +112,32 @@ def exp_series_apply(
     evaluated by iterated matrix-vector products; grad powers are never
     formed explicitly. offset=0 is the streamline displacement series,
     offset=1 the inner sums of the change-of-streamlines scheme. Each
-    product works on the components g[i][j] = grad[..., i, j] and
-    w[i] = v[..., i], so one code path serves any dimension.
+    product works on the components g_ij = grad[:, i, j] and w_i of
+    grad^k v, row by row: w0' = g00 w0 + g01 w1, w1' = g10 w0 + g11 w1.
     """
     if terms < 1:
         raise StructuralError("terms must be >= 1")
     if offset not in (0, 1):
         raise StructuralError("offset must be 0 or 1")
-    grad = np.asarray(grad, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 0 or grad.shape != v.shape + v.shape[-1:]:
-        raise StructuralError(f"grad of shape {grad.shape} does not match v of shape {v.shape}")
-    d = v.shape[-1]
-    g = [[grad[..., i, j] for j in range(d)] for i in range(d)]
-    w = [v[..., i] for i in range(d)]         # components of grad^k v
+    check_positive(dt, "dt")
+    v = check_points(np.asarray(v, dtype=float), "v", finite=False)
+    grad = check_points(np.asarray(grad, dtype=float), "grad", len(v), gradient=True, finite=False)
+    g00, g01, g10, g11 = grad[:, 0, 0], grad[:, 0, 1], grad[:, 1, 0], grad[:, 1, 1]
+    w0, w1 = v[:, 0], v[:, 1]
     p = offset + 1
-    out = [(dt**p / math.factorial(p)) * wi for wi in w]
+    c = dt**p / math.factorial(p)
+    out0, out1 = c * w0, c * w1
     for k in range(1, terms):
-        w = [_row_dot(gi, w) for gi in g]
+        n0 = g00 * w0
+        n0 += g01 * w1
+        n1 = g10 * w0
+        n1 += g11 * w1
+        w0, w1 = n0, n1
         p = k + offset + 1
         c = dt**p / math.factorial(p)
-        for i in range(d):
-            out[i] += c * w[i]
-    return np.stack(out, axis=-1)
-
-
-def _row_dot(row: list, w: list) -> np.ndarray:
-    """sum_j row[j] * w[j], accumulated in j order."""
-    acc = row[0] * w[0]
-    for j in range(1, len(w)):
-        acc += row[j] * w[j]
-    return acc
+        out0 += c * w0
+        out1 += c * w1
+    return np.stack([out0, out1], axis=-1)
 
 
 def move_m1(ctx: MoveContext) -> np.ndarray:

@@ -4,7 +4,7 @@
 radius (points exactly at distance r are included). The pairs are
 symmetrised and sorted by (row, column), so row i's neighbors are
 ``ids[offsets[i]:offsets[i + 1]]``, ascending, self excluded. The search
-takes an (N, d) position array; the cloud is the driver's state.
+takes an (N, 2) position array; the cloud is the driver's state.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import NumericInputError, StructuralError
+from .errors import check_points, check_positive
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,9 @@ class NeighborIndex:
 
 def build_index(positions: np.ndarray, radius: float) -> NeighborIndex:
     """CSR index of every pair of rows of ``positions`` within ``radius``."""
-    if not radius > 0:
-        raise StructuralError("search radius must be positive")
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2:
-        raise StructuralError(f"positions must be an (N, d) array, got shape {pos.shape}")
-    n = len(pos)
-    if n == 0:
-        raise StructuralError("cannot index an empty point set")
-    if not np.all(np.isfinite(pos)):
-        raise NumericInputError("positions contain non-finite entries")
-    pairs = cKDTree(pos).query_pairs(radius, output_type="ndarray")
+    check_positive(radius, "search radius")
+    n = len(check_points(positions, "positions"))
+    pairs = cKDTree(positions).query_pairs(radius, output_type="ndarray")
     rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
     cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
     order = np.argsort(rows * n + cols)   # (row, col) order; keys are distinct

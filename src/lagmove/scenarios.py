@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diagnostics, gfdm, movers, neighbors
 from .cloud import PointCloud, advance_history, apply_displacements, make_cloud
-from .errors import LagmoveError, StructuralError
+from .errors import LagmoveError, StructuralError, check_positive
 from .fields import (
     Lissajous,
     LinearField,
@@ -27,10 +27,6 @@ from .fields import (
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _TIME_EPS = 1e-12
-
-
-def _positive(x: float) -> bool:
-    return bool(np.isfinite(x)) and x > 0
 
 
 @dataclass(frozen=True)
@@ -47,8 +43,10 @@ class Scenario:
     exact_center_offset: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.n_points < 3 or not (_positive(self.disc_radius) and _positive(self.t_end)):
-            raise StructuralError("invalid scenario parameters")
+        if self.n_points < 3:
+            raise StructuralError("a scenario needs at least 3 points")
+        check_positive(self.disc_radius, "disc radius")
+        check_positive(self.t_end, "t_end")
 
 
 @dataclass(frozen=True)
@@ -60,10 +58,8 @@ class RunConfig:
     output_stride: int = 10
 
     def __post_init__(self):
-        if not _positive(self.dt):
-            raise StructuralError("dt must be positive and finite")
-        if not _positive(self.radius_factor):
-            raise StructuralError("radius factor must be positive and finite")
+        check_positive(self.dt, "dt")
+        check_positive(self.radius_factor, "radius factor")
         if self.gradient_mode not in ("analytic", "numeric"):
             raise StructuralError(f"unknown gradient mode {self.gradient_mode!r}")
         if self.output_stride < 1:
@@ -77,8 +73,9 @@ def sample_disc(center: tuple[float, float], radius: float, n: int) -> np.ndarra
     the sampled diameter is exactly 2 r, via antipodal pairs); the interior
     follows the golden-angle sunflower layout.
     """
-    if n < 3 or radius <= 0:
-        raise StructuralError("need n >= 3 and positive radius")
+    if n < 3:
+        raise StructuralError("need n >= 3 points")
+    check_positive(radius, "radius")
     n_boundary = 2 * int(round(np.sqrt(n)))
     n_boundary = min(n_boundary, n if n % 2 == 0 else n - 1)
     n_interior = n - n_boundary

@@ -100,6 +100,11 @@ def test_make_cloud_rejects_non_finite_scalars(field, value):
         make_cloud(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2, 2)), **scalars)
 
 
+def test_make_cloud_rejects_1d_positions():
+    with pytest.raises(StructuralError):
+        make_cloud(np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2, 2)), smoothing_length=0.5, dt=0.1)
+
+
 def test_per_point_locality_commutes_with_permutation():
     rng = np.random.default_rng(1)
     cloud = small_cloud(n=10)

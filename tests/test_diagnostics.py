@@ -108,13 +108,6 @@ def test_hull_volume_interior_points_irrelevant():
     )
 
 
-def test_hull_volume_3d_unit_cube():
-    corners = np.array(
-        [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
-    )
-    assert hull_volume(corners) == pytest.approx(1.0)
-
-
 def test_hull_volume_degenerate_rejected():
     with pytest.raises(DegenerateGeometryError):
         hull_volume(points([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lagmove.errors import DimensionError
+from lagmove.errors import DimensionError, StructuralError
 from lagmove.fields import (
     LinearField,
     Lissajous,
@@ -33,6 +33,26 @@ def test_rotation_values():
 def test_rotation_rejects_3d():
     with pytest.raises(DimensionError):
         RigidRotation().evaluate(np.zeros((4, 3)), 0.0)
+
+
+LINEAR = LinearField(A=((1.0, 2.0), (3.0, 4.0)), b=(0.0, 0.0))
+
+
+def test_linear_evaluate_rejects_1d_x():
+    with pytest.raises(StructuralError):
+        LINEAR.evaluate(np.array([1.0, 2.0]), 0.0)
+
+
+def test_linear_gradient_rejects_1d_x():
+    with pytest.raises(StructuralError):
+        LINEAR.gradient(np.array([1.0, 2.0]), 0.0)
+
+
+def test_linear_rejects_3d():
+    with pytest.raises(DimensionError):
+        LINEAR.evaluate(np.zeros((4, 3)), 0.0)
+    with pytest.raises(DimensionError):
+        LINEAR.gradient(np.zeros((4, 3)), 0.0)
 
 
 def test_lissajous_values():

@@ -63,15 +63,6 @@ def test_matches_brute_force_2d(trial):
         assert np.array_equal(index.lists[i], brute[i])
 
 
-def test_matches_brute_force_3d():
-    rng = np.random.default_rng(99)
-    pos = rng.uniform(0.0, 1.0, size=(120, 3))
-    index = build_index(pos, 0.3)
-    brute = brute_force_neighbors(pos, 0.3)
-    for i in range(120):
-        assert np.array_equal(index.lists[i], brute[i])
-
-
 def test_symmetry():
     rng = np.random.default_rng(3)
     pos = rng.uniform(0.0, 1.0, size=(60, 2))
