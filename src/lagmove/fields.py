@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_points
+from .errors import DimensionError, check_points
 
 _ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -66,6 +66,14 @@ class LinearField:
     A: tuple[tuple[float, ...], ...]
     b: tuple[float, ...]
     name: str = field(default="linear", init=False)
+
+    def __post_init__(self):
+        try:
+            shapes = np.shape(self.A), np.shape(self.b)
+        except ValueError:   # ragged nesting
+            shapes = None
+        if shapes != ((2, 2), (2,)):
+            raise DimensionError(f"LinearField needs a (2, 2) A and a (2,) b, got {self.A} and {self.b}")
 
     def _matrix(self) -> np.ndarray:
         return np.asarray(self.A, dtype=float)

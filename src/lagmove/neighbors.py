@@ -1,10 +1,10 @@
-"""Fixed-radius neighbor search with a KD-tree, stored as CSR.
+"""Fixed-radius neighbor search with a KD-tree, stored as a list of pairs.
 
 ``scipy.spatial.cKDTree.query_pairs`` gives every unordered pair within the
-radius (points exactly at distance r are included). The pairs are
-symmetrised and sorted by (row, column), so row i's neighbors are
-``ids[offsets[i]:offsets[i + 1]]``, ascending, self excluded. The search
-takes an (N, 2) position array; the cloud is the driver's state.
+radius (points exactly at distance r are included) once, as a row (i, j)
+with i < j. The WLSQ fit sums each pair onto both of its ends, so that list
+is the index; ``lists`` expands it per row (ascending, self excluded) for
+the oracle and the checks. The search takes an (N, 2) position array.
 """
 from __future__ import annotations
 
@@ -18,37 +18,32 @@ from .errors import check_points, check_positive
 
 @dataclass(frozen=True)
 class NeighborIndex:
-    offsets: np.ndarray   # (N + 1,) start of each row's neighbors in ids
-    ids: np.ndarray       # (E,) neighbor rows, ascending within each row, self excluded
+    n: int                # number of points indexed
+    pairs: np.ndarray     # (P, 2) rows (i, j), i < j: every pair within the radius, once
 
     def neighbor_count(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return np.bincount(self.pairs.ravel(), minlength=self.n)
 
     @property
     def lists(self) -> tuple[np.ndarray, ...]:
-        """Per point: its neighbor rows (views into ``ids``)."""
-        return tuple(np.split(self.ids, self.offsets[1:-1]))
+        """Per point: its neighbor rows, ascending."""
+        rows, cols = self.pairs.ravel(), self.pairs[:, ::-1].ravel()
+        order = np.lexsort((cols, rows))
+        return tuple(np.split(cols[order], np.cumsum(self.neighbor_count())[:-1]))
 
 
 def build_index(positions: np.ndarray, radius: float) -> NeighborIndex:
-    """CSR index of every pair of rows of ``positions`` within ``radius``."""
+    """Pair index of every two rows of ``positions`` within ``radius``."""
     check_positive(radius, "search radius")
     n = len(check_points(positions, "positions"))
-    pairs = cKDTree(positions).query_pairs(radius, output_type="ndarray")
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.argsort(rows * n + cols)   # (row, col) order; keys are distinct
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-    return NeighborIndex(offsets=offsets, ids=cols[order])
+    return NeighborIndex(n=n, pairs=cKDTree(positions).query_pairs(radius, output_type="ndarray"))
 
 
 def brute_force_neighbors(positions: np.ndarray, radius: float) -> list[np.ndarray]:
     """Reference O(N^2) all-pairs scan; oracle for the KD-tree index."""
     pos = np.asarray(positions, dtype=float)
-    n = pos.shape[0]
     out = []
-    for i in range(n):
+    for i in range(len(pos)):
         diff = pos - pos[i]
         dist2 = np.einsum("ij,ij->i", diff, diff)
         mask = (dist2 <= radius * radius)

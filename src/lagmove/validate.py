@@ -125,8 +125,8 @@ def check_neighbor_oracle():
     brute = neighbors.brute_force_neighbors(pos, 0.2)
     for i, (got, want) in enumerate(zip(index.lists, brute)):
         if not np.array_equal(got, want):
-            return False, f"KD-tree index disagrees with all-pairs scan at point {i}"
-    return True, "KD-tree index equals all-pairs scan"
+            return False, f"KD-tree pair list, expanded per point, disagrees with all-pairs scan at point {i}"
+    return True, "KD-tree pair list, expanded per point, equals all-pairs scan"
 
 
 ALL_CHECKS = (

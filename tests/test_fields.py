@@ -35,6 +35,16 @@ def test_rotation_rejects_3d():
         RigidRotation().evaluate(np.zeros((4, 3)), 0.0)
 
 
+@pytest.mark.parametrize(
+    "A, b",
+    [(np.eye(3), (0.0, 0.0)), (np.eye(2), (0.0, 0.0, 0.0)), (((1.0, 2.0), (3.0,)), (0.0, 0.0))],
+    ids=["3x3-A", "3-vector-b", "ragged-A"],
+)
+def test_linear_field_rejects_non_2d_coefficients(A, b):
+    with pytest.raises(DimensionError):
+        LinearField(A=A, b=b)
+
+
 LINEAR = LinearField(A=((1.0, 2.0), (3.0, 4.0)), b=(0.0, 0.0))
 
 

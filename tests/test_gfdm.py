@@ -10,7 +10,7 @@ from lagmove.errors import (
     StencilDeficiencyError,
     StructuralError,
 )
-from lagmove.gfdm import all_gradients, wlsq_gradient
+from lagmove.gfdm import WEIGHT_EXPONENT, _det_and_condition, all_gradients, wlsq_gradient
 from lagmove.neighbors import build_index
 
 
@@ -87,6 +87,25 @@ def test_first_order_convergence_on_quadratic_field():
         errs.append(np.abs(grad - np.zeros((2, 2))).max())
     assert errs[1] < errs[0]
     assert errs[0] / errs[1] > 1.4  # roughly first order in h
+
+
+@pytest.mark.parametrize("trial, squash", enumerate([1.0, 1e-1, 1e-2, 1e-3, 3e-4]))
+def test_closed_form_condition_matches_lapack(trial, squash):
+    # squashing y moves the stencil conditions from ~1 up to ~1e6
+    rng = np.random.default_rng(500 + trial)
+    pos = rng.uniform(-1.0, 1.0, size=(120, 2)) * [1.0, squash]
+    index = build_index(pos, 0.4)
+    mats = []
+    for i, j in enumerate(index.lists):
+        dx = pos[j] - pos[i]
+        w = np.exp(-WEIGHT_EXPONENT * np.einsum("ij,ij->i", dx, dx) / 0.4**2)
+        mats.append(dx.T @ (w[:, None] * dx))
+    mats = np.array(mats)
+    want = np.linalg.cond(mats)
+    _, got = _det_and_condition(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1])
+    keep = want <= 1e6
+    assert keep.sum() >= 100
+    assert np.all(np.abs(got[keep] - want[keep]) <= 1e-8 * want[keep])
 
 
 def test_deficient_stencil_raises():

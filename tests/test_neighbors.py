@@ -79,3 +79,26 @@ def test_rigid_translation_preserves_topology():
     b = build_index(pos + np.array([13.0, -7.0]), 0.2)
     for la, lb in zip(a.lists, b.lists):
         assert np.array_equal(la, lb)
+
+
+def cloud_with_isolated_point(trial):
+    rng = np.random.default_rng(40 + trial)
+    return np.vstack([rng.uniform(0.0, 1.0, size=(120, 2)), [[5.0, 5.0]]])
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_neighbor_count_matches_brute_force(trial):
+    pos = cloud_with_isolated_point(trial)
+    counts = build_index(pos, 0.2).neighbor_count()
+    assert np.array_equal(counts, [len(b) for b in brute_force_neighbors(pos, 0.2)])
+    assert counts[-1] == 0
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_each_pair_held_once_lower_row_first(trial):
+    pos = cloud_with_isolated_point(trial)
+    pairs = build_index(pos, 0.2).pairs
+    i, j = pairs.T
+    assert pairs.shape[1] == 2 and np.all(i < j)
+    assert len(np.unique(i * len(pos) + j)) == len(pairs)
+    assert 2 * len(pairs) == sum(len(b) for b in brute_force_neighbors(pos, 0.2))

@@ -7,6 +7,7 @@ from lagmove import movers
 from lagmove.cloud import make_cloud
 from lagmove.errors import StructuralError
 from lagmove.movers import MoverKind
+from lagmove.neighbors import build_index
 from lagmove.scenarios import (
     RunConfig,
     initial_cloud,
@@ -28,6 +29,18 @@ def test_non_finite_disc_radius_rejected():
     for bad in (np.nan, np.inf):
         with pytest.raises(StructuralError):
             replace(sc, disc_radius=bad)
+
+
+def test_default_smoothing_length_is_the_papers_at_its_size():
+    assert make_scenario("rotation").smoothing_length == 0.3
+
+
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_default_smoothing_length_keeps_stencils_small(n):
+    # h follows the mean spacing, so the stencil stays near its size at N = 222
+    sc = make_scenario("rotation", n=n)
+    pos = sample_disc(sc.disc_center, sc.disc_radius, n)
+    assert 12.0 <= build_index(pos, sc.smoothing_length).neighbor_count().mean() <= 25.0
 
 
 def test_sample_disc_contract():
