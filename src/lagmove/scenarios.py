@@ -38,7 +38,6 @@ class Scenario:
     t_end: float
     disc_center: tuple[float, float] = (0.0, 0.0)
     disc_radius: float = 1.0
-    smoothing_length: float | None = None   # None: derived from n_points and disc_radius
     exact_diameter: float | None = None
     # exact displacement of the cloud centroid from its start, as f(t)
     exact_center_offset: Callable[[float], np.ndarray] | None = None
@@ -48,11 +47,12 @@ class Scenario:
             raise StructuralError("a scenario needs at least 3 points")
         check_positive(self.disc_radius, "disc radius")
         check_positive(self.t_end, "t_end")
-        if self.smoothing_length is None:
-            # 0.3 r at the paper's N = 222, then in step with the mean spacing
-            # ~ r / sqrt(N), so a stencil keeps ~16 neighbors at any N
-            h = 0.3 * self.disc_radius * math.sqrt(222 / self.n_points)
-            object.__setattr__(self, "smoothing_length", h)
+
+    @property
+    def smoothing_length(self) -> float:
+        # 0.3 r at the paper's N = 222, then in step with the mean spacing
+        # ~ r / sqrt(N), so a stencil keeps ~16 neighbors at any N
+        return 0.3 * self.disc_radius * math.sqrt(222 / self.n_points)
 
 
 @dataclass(frozen=True)

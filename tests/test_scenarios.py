@@ -1,4 +1,5 @@
 from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,13 @@ def test_non_finite_disc_radius_rejected():
 
 def test_default_smoothing_length_is_the_papers_at_its_size():
     assert make_scenario("rotation").smoothing_length == 0.3
+
+
+def test_smoothing_length_follows_replaced_size_and_radius():
+    sc = make_scenario("rotation")
+    assert replace(sc, n_points=20000).smoothing_length == make_scenario("rotation", n=20000).smoothing_length
+    assert replace(sc, n_points=20000).smoothing_length == pytest.approx(0.3 * math.sqrt(222 / 20000))
+    assert replace(sc, disc_radius=0.15).smoothing_length == pytest.approx(0.045)
 
 
 @pytest.mark.parametrize("n", [2000, 20000])
