@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radius-factor", type=float, default=1.0)
         p.add_argument("--out", default=None)
         p.add_argument("--summary", default=None)
-        p.add_argument("--stride", type=int, default=10)
         p.add_argument("--seed", type=int, default=0,
                        help="accepted and ignored: sampling is deterministic")
         p.add_argument("--n-points", type=int, default=222)
@@ -76,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.add_argument("--mover", default="m1", choices=MOVER_NAMES)
     p_run.add_argument("--dt", type=float, required=True)
+    p_run.add_argument("--stride", type=int, default=10)
 
     p_sweep = sub.add_parser("sweep", help="cross product of all movers and time steps")
     common(p_sweep)
@@ -92,19 +92,19 @@ def _make_scenario(args) -> scenarios.Scenario:
     return scenarios.make_scenario(args.scenario, **kwargs)
 
 
-def _config(args, mover: str, dt: float) -> scenarios.RunConfig:
+def _config(args, mover: str, dt: float, **kwargs) -> scenarios.RunConfig:
     return scenarios.RunConfig(
         mover=MoverKind(mover, args.terms),
         dt=dt,
         gradient_mode=args.gradient,
         radius_factor=args.radius_factor,
-        output_stride=args.stride,
+        **kwargs,
     )
 
 
 def cmd_run(args) -> int:
     scenario = _make_scenario(args)
-    records = scenarios.run(scenario, _config(args, args.mover, args.dt))
+    records = scenarios.run(scenario, _config(args, args.mover, args.dt, output_stride=args.stride))
     if args.out:
         write_csv(records, args.out)
     final = records[-1]

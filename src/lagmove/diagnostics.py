@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial.distance import pdist
 
 from .errors import DegenerateGeometryError, check_points, check_positive
 
@@ -43,9 +44,7 @@ def measure(positions: np.ndarray) -> tuple[float, float]:
         hull = ConvexHull(positions)
     except QhullError as exc:
         raise DegenerateGeometryError(f"degenerate point set: {exc}") from exc
-    pts = positions[hull.vertices]
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max())), float(hull.volume)
+    return float(pdist(positions[hull.vertices]).max()), float(hull.volume)
 
 
 def eps_x(positions: np.ndarray, x_exact: np.ndarray) -> float:

@@ -2,8 +2,9 @@
 
 Every field is a pure function of (x, t). ``evaluate`` accepts positions of
 shape (N, 2) and returns (N, 2); ``gradient`` returns (N, 2, 2). Positions
-are checked by shape only: the driver scans what the fields return. Exact
-gradients let integrator error be separated from reconstruction error.
+are checked by shape only: the stepping code scans what fields return. Every
+call returns a fresh array; both rotations share one matmul-free kernel.
+Exact gradients separate integrator error from reconstruction error.
 """
 from __future__ import annotations
 
@@ -16,6 +17,16 @@ from .errors import DimensionError, check_points
 _ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+def _rotate(x: np.ndarray, center: tuple[float, float], rate: float) -> np.ndarray:
+    """rate * (cy - y, x - cx). Negation and scaling are exact, so this is
+    rate * (x - center) times the transposed ``_ROT90``, bit for bit."""
+    cx, cy = center
+    out = np.empty(x.shape)
+    np.subtract(cy, x[:, 1], out=out[:, 0], dtype=float)
+    np.subtract(x[:, 0], cx, out=out[:, 1], dtype=float)
+    return np.multiply(out, rate, out=out)
+
+
 @dataclass(frozen=True)
 class RigidRotation:
     """v(x) = omega * (-(y - cy), x - cx): rigid rotation about a center."""
@@ -26,12 +37,11 @@ class RigidRotation:
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
-        rel = x - np.asarray(self.center)
-        return self.omega * rel @ _ROT90.T
+        return _rotate(x, self.center, self.omega)
 
     def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
-        return np.broadcast_to(self.omega * _ROT90, (x.shape[0], 2, 2)).copy()
+        return (self.omega * _ROT90)[None].repeat(x.shape[0], axis=0)
 
 
 @dataclass(frozen=True)
@@ -43,7 +53,7 @@ class Lissajous:
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
         v = np.array([15.0 * np.cos(5.0 * t + np.pi / 2.0), 4.0 * np.cos(4.0 * t)])
-        return np.broadcast_to(v, x.shape).copy()
+        return v[None].repeat(x.shape[0], axis=0)
 
     def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
@@ -84,7 +94,7 @@ class LinearField:
 
     def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
-        return np.broadcast_to(self._matrix(), (x.shape[0], 2, 2)).copy()
+        return self._matrix()[None].repeat(x.shape[0], axis=0)
 
 
 @dataclass(frozen=True)
@@ -110,12 +120,11 @@ class ModulatedRotation:
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
-        rel = x - np.asarray(self.center)
-        return self.rate(t) * rel @ _ROT90.T
+        return _rotate(x, self.center, self.rate(t))
 
     def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
-        return np.broadcast_to(self.rate(t) * _ROT90, (x.shape[0], 2, 2)).copy()
+        return (self.rate(t) * _ROT90)[None].repeat(x.shape[0], axis=0)
 
     def angle(self, t: float) -> float:
         """Accumulated rotation angle: integral of omega(s) ds over [0, t]."""

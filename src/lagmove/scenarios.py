@@ -293,11 +293,13 @@ def convergence_sweep(
 ) -> list[SweepCell]:
     """Cross product of movers and time steps; cells failing with a package
     or linear-algebra error are marked with the reason and the sweep
-    continues. Sorted by (mover, dt)."""
+    continues. Sorted by (mover, dt). A stride past the last full step
+    builds only the first and final record of each cell."""
     cells = []
     for name in sorted(mover_names):
         for dt in sorted(dts):
             config = replace(base, mover=movers.MoverKind(name, base.mover.terms), dt=dt)
+            config = replace(config, output_stride=plan_steps(scenario.t_end, config.dt)[0] + 1)
             try:
                 final = run(scenario, config)[-1]
                 cells.append(SweepCell(name, dt, final.eps_dia, final.eps_x, final.eps_V))

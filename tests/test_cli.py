@@ -194,3 +194,18 @@ def test_sweep_reports_failed_cell_reason(monkeypatch, tmp_path, capsys):
     assert lines[0] == "mover,dt,eps_dia,eps_x,eps_V,failed"
     assert lines[2] == "m2,0.10000000000000001,nan,nan,nan,1"
     assert "FAILED (NumericInputError" in capsys.readouterr().out
+
+
+def test_stride_is_a_run_flag(tmp_path, capsys):
+    assert cli.main(SWEEP_ARGV + ["--stride", "5"]) == 1
+    assert "--stride" in capsys.readouterr().err
+    out = tmp_path / "run.csv"
+    assert cli.main(["run", "--dt", "0.1", "--t-end", "1.0", "--stride", "5", "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["0", "5", "10"]
+
+
+@pytest.mark.parametrize("dts", ["0", "nan", "-0.1", "inf"])
+def test_sweep_rejects_bad_time_steps(dts, capsys):
+    # the cell's stride is planned from dt, so dt must be checked first
+    assert cli.main(["sweep", "--dts", dts, "--t-end", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: dt must be")

@@ -127,3 +127,31 @@ def test_modulated_rotation_rate_and_angle():
     for t in (0.3, 1.7, 4.2):
         deriv = (f.angle(t + eps) - f.angle(t - eps)) / (2 * eps)
         assert np.isclose(deriv, f.rate(t), atol=1e-8)
+
+
+ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("kind", [RigidRotation, ModulatedRotation])
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.7)])
+@pytest.mark.parametrize("w", [1.0, -2.5])
+def test_rotations_equal_the_matmul_formulas(kind, center, w):
+    field = kind(center, w)
+    rng = np.random.default_rng(11)
+    for t in (0.0, 0.3, 1.7, 4.2):
+        x = rng.uniform(-2.0, 2.0, size=(64, 2))
+        rate = field.rate(t) if isinstance(field, ModulatedRotation) else field.omega
+        rel = x - np.asarray(field.center)
+        assert np.array_equal(field.evaluate(x, t), rate * rel @ ROT90.T)
+        assert np.array_equal(field.gradient(x, t), np.broadcast_to(rate * ROT90, (64, 2, 2)))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
+def test_results_are_fresh_arrays(field):
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 2))
+    for method in (field.evaluate, field.gradient):
+        first = method(x, 0.4)
+        expected = first.copy()
+        assert first.flags.writeable and first.flags.c_contiguous
+        first += 1.0
+        assert np.array_equal(method(x, 0.4), expected)

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from lagmove import movers
+from lagmove import diagnostics, movers
 from lagmove.cloud import make_cloud
 from lagmove.errors import StructuralError
 from lagmove.movers import MoverKind
 from lagmove.neighbors import build_index
 from lagmove.scenarios import (
     RunConfig,
+    convergence_sweep,
     initial_cloud,
     make_scenario,
     plan_steps,
@@ -253,3 +254,33 @@ def test_term_count_change_recomputes_series():
     cfg7 = RunConfig(mover=MoverKind("m4", 7), dt=0.05)
     fresh = step(replace(cloud, series_prev=None), sc, cfg7)
     assert np.array_equal(step(cloud, sc, cfg7).positions, fresh.positions)
+
+
+PAPER_DTS = [0.2, 0.1, 0.05, 0.025]
+
+
+def test_paper_sweep_builds_two_hulls_per_cell(monkeypatch):
+    # the first record (start centroid and volume) and the final one
+    hulls = []
+    original = diagnostics.ConvexHull
+
+    def counted(*args, **kwargs):
+        hulls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "ConvexHull", counted)
+    cells = convergence_sweep(make_scenario("rotation"), config(), PAPER_DTS)
+    assert len(cells) == 16
+    assert len(hulls) == 2 * 16
+
+
+@pytest.mark.parametrize(
+    "name, t_end, dts",
+    [("rotation", None, PAPER_DTS), ("modulated-rotation", 1.0, [0.1, 0.05, 0.03])],
+    ids=["paper-short-last", "whole-steps"],
+)
+def test_sweep_cells_are_final_run_records(name, t_end, dts):
+    sc = make_scenario(name) if t_end is None else make_scenario(name, t_end=t_end)
+    for cell in convergence_sweep(sc, config(), dts):
+        final = run(sc, config(cell.mover, cell.dt))[-1]
+        assert (cell.eps_dia, cell.eps_x, cell.eps_V) == (final.eps_dia, final.eps_x, final.eps_V)
