@@ -5,7 +5,7 @@ Four integrators for advecting a point cloud through a velocity field
 velocity-gradient reconstruction, a KD-tree neighbor search, and
 conservation/trajectory diagnostics.
 """
-from .cloud import PointCloud, advance_history, apply_displacements, make_cloud
+from .cloud import LevelSeries, PointCloud, advance_history, apply_displacements, make_cloud
 from .diagnostics import DiagnosticsRecord, centroid, eps_volume, eps_x, measure
 from .fields import (
     LinearField,
@@ -16,8 +16,6 @@ from .fields import (
 )
 from .gfdm import all_gradients, wlsq_gradient
 from .movers import (
-    LevelSeries,
-    MoveContext,
     MoverKind,
     displacement,
     exp_series_apply,

@@ -67,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radius-factor", type=float, default=1.0)
         p.add_argument("--out", default=None)
         p.add_argument("--summary", default=None)
-        p.add_argument("--seed", type=int, default=0,
-                       help="accepted and ignored: sampling is deterministic")
         p.add_argument("--n-points", type=int, default=222)
 
     p_run = sub.add_parser("run", help="run one scenario with one mover")

@@ -2,8 +2,10 @@
 
 Storage is structure-of-arrays: one (N, 2) array per per-point field,
 row i of each belonging to point i. Operations return new clouds; arrays
-of the input are never mutated. The cloud is the driver's state: only
-``scenarios`` reads its layout, and the kernels below it take arrays.
+of the input are never mutated. The cloud is the one state of a step:
+``scenarios`` drives it and the movers read their inputs from it. Each
+array is checked once, where it is installed (``make_cloud``,
+``advance_history``, ``apply_displacements``), so its readers trust it.
 
 Besides the two velocity levels the cloud carries ``series_prev``, the m4
 mover's series of the previous level. The mover returns it for the
@@ -17,7 +19,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import check_points, check_positive
-from .movers import LevelSeries
+
+
+@dataclass(frozen=True)
+class LevelSeries:
+    """m4's offset-1 series of one velocity level, tagged with the time step
+    and term count it was computed with; it is reused only when both match."""
+
+    values: np.ndarray      # (N, 2)
+    dt: float
+    terms: int
 
 
 @dataclass(frozen=True)
@@ -28,16 +39,20 @@ class PointCloud:
     grad_velocities: np.ndarray       # (N, 2, 2), current level
     grad_velocities_prev: np.ndarray  # (N, 2, 2), previous level
     smoothing_length: float
-    dt: float
+    dt: float                         # regular step: the spacing of the two levels
     initial_time: float = 0.0
     step: int = 0
-    has_history: bool = False
     series_prev: LevelSeries | None = None  # m4 series of the previous level
 
     @property
     def time(self) -> float:
         # recomputed from the step count, not accumulated, to avoid drift
         return self.initial_time + self.step * self.dt
+
+    @property
+    def has_history(self) -> bool:
+        """Whether the previous level holds data: every step shifts one in."""
+        return self.step > 0
 
     def validate(self) -> None:
         n = len(check_points(self.positions, "positions"))
@@ -91,6 +106,8 @@ def advance_history(
     new_gradients = check_points(
         np.asarray(new_gradients, dtype=float), "new_gradients", n, gradient=True
     )
+    if series is not None:
+        check_points(series.values, "series", n, finite=False)
     return replace(
         cloud,
         velocities=new_velocities,
@@ -99,7 +116,6 @@ def advance_history(
         grad_velocities_prev=cloud.grad_velocities,
         series_prev=series,
         step=cloud.step + 1,
-        has_history=True,
     )
 
 

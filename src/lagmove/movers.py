@@ -10,11 +10,13 @@ time step by integrating a characteristic-velocity ODE:
   m4  movement along the change of streamlines between the two levels;
       reduces to m2 when both gradients vanish. Its old level's series is
       the new level's series of the step before, so m4 returns that series
-      with the displacement and reads it back through ``MoveContext``.
+      with the displacement and reads it back from ``cloud.series_prev``.
 
-All functions are vectorized over points: velocities are (N, 2), gradients
-(N, 2, 2). The series kernel works on components: each matrix-vector
-product is four elementwise multiply-adds over the point axis.
+The movers read both levels from a ``PointCloud``, checked when they were
+installed, and integrate over ``dt``; backward differences span the levels'
+spacing ``cloud.dt``. Velocities are (N, 2), gradients (N, 2, 2). The series
+kernel works on components: each matrix-vector product is four elementwise
+multiply-adds over the point axis.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cloud import LevelSeries, PointCloud
 from .errors import HistoryMissingError, StructuralError, check_points, check_positive
 
 DEFAULT_TERMS = 5
@@ -50,54 +53,8 @@ class MoverKind:
         return self
 
 
-@dataclass(frozen=True)
-class LevelSeries:
-    """m4's offset-1 series of one velocity level, tagged with the time step
-    and term count it was computed with; it is reused only when both match."""
-
-    values: np.ndarray      # (N, 2)
-    dt: float
-    terms: int
-
-
-@dataclass(frozen=True)
-class MoveContext:
-    """Per-step inputs for all movers, batched over points.
-
-    ``dt_history`` is the spacing between the stored velocity levels; it
-    equals ``dt`` (the default, None) except on a shortened final step,
-    where the backward differences keep their original spacing.
-    ``series_prev`` is m4's series of the previous level (``v_prev``,
-    ``grad_prev``) from the step before, or None to compute it.
-
-    ``v_n`` and ``grad_n`` are scanned for non-finite entries; the previous
-    level (scanned when it was current) and ``series_prev`` only by shape.
-    """
-
-    dt: float
-    v_n: np.ndarray         # (N, 2)
-    v_prev: np.ndarray      # (N, 2)
-    grad_n: np.ndarray      # (N, 2, 2)
-    grad_prev: np.ndarray   # (N, 2, 2)
-    has_history: bool
-    dt_history: float | None = None
-    series_prev: LevelSeries | None = None
-
-    def __post_init__(self):
-        check_positive(self.dt, "dt")
-        if self.dt_history is None:
-            object.__setattr__(self, "dt_history", self.dt)
-        check_positive(self.dt_history, "dt_history")
-        n = len(check_points(self.v_n, "v_n"))
-        check_points(self.grad_n, "grad_n", n, gradient=True)
-        check_points(self.v_prev, "v_prev", n, finite=False)
-        check_points(self.grad_prev, "grad_prev", n, gradient=True, finite=False)
-        if self.series_prev is not None:
-            check_points(self.series_prev.values, "series_prev", n, finite=False)
-
-
-def _require_history(ctx: MoveContext, mover: str) -> None:
-    if not ctx.has_history:
+def _require_history(cloud: PointCloud, mover: str) -> None:
+    if not cloud.has_history:
         raise HistoryMissingError(
             f"{mover} needs previous-level data; bootstrap the first step instead"
         )
@@ -140,44 +97,48 @@ def exp_series_apply(
     return np.stack([out0, out1], axis=-1)
 
 
-def move_m1(ctx: MoveContext) -> np.ndarray:
-    return ctx.v_n * ctx.dt
+def move_m1(cloud: PointCloud, dt: float) -> np.ndarray:
+    return cloud.velocities * dt
 
 
-def move_m2(ctx: MoveContext) -> np.ndarray:
-    _require_history(ctx, "m2")
-    accel = (ctx.v_n - ctx.v_prev) / ctx.dt_history
-    return ctx.v_n * ctx.dt + 0.5 * accel * ctx.dt**2
+def move_m2(cloud: PointCloud, dt: float) -> np.ndarray:
+    _require_history(cloud, "m2")
+    accel = (cloud.velocities - cloud.velocities_prev) / cloud.dt
+    return cloud.velocities * dt + 0.5 * accel * dt**2
 
 
-def move_m3(ctx: MoveContext, terms: int = DEFAULT_TERMS) -> np.ndarray:
-    return exp_series_apply(ctx.grad_n, ctx.v_n, ctx.dt, terms, offset=0)
+def move_m3(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS) -> np.ndarray:
+    return exp_series_apply(cloud.grad_velocities, cloud.velocities, dt, terms, offset=0)
 
 
-def move_m4(ctx: MoveContext, terms: int = DEFAULT_TERMS) -> tuple[np.ndarray, LevelSeries]:
+def move_m4(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS):
     """Displacement, and the current level's series for the next step.
 
-    The old level's series is read from ``ctx.series_prev`` when it was
-    computed with this step's dt and term count, and computed otherwise.
+    The old level's series is read from ``cloud.series_prev`` when it was
+    computed with this ``dt`` and term count, and computed otherwise.
     """
-    _require_history(ctx, "m4")
-    s_now = exp_series_apply(ctx.grad_n, ctx.v_n, ctx.dt, terms, offset=1)
-    old = ctx.series_prev
-    if old is not None and old.dt == ctx.dt and old.terms == terms:
+    _require_history(cloud, "m4")
+    s_now = exp_series_apply(cloud.grad_velocities, cloud.velocities, dt, terms, offset=1)
+    old = cloud.series_prev
+    if old is not None and old.dt == dt and old.terms == terms:
         s_old = old.values
     else:
-        s_old = exp_series_apply(ctx.grad_prev, ctx.v_prev, ctx.dt, terms, offset=1)
-    disp = ctx.v_n * ctx.dt + (s_now - s_old) / ctx.dt_history
-    return disp, LevelSeries(s_now, ctx.dt, terms)
+        s_old = exp_series_apply(cloud.grad_velocities_prev, cloud.velocities_prev, dt, terms, 1)
+    disp = cloud.velocities * dt + (s_now - s_old) / cloud.dt
+    return disp, LevelSeries(s_now, dt, terms)
 
 
-def displacement(mover: MoverKind, ctx: MoveContext) -> tuple[np.ndarray, LevelSeries | None]:
-    """Dispatch to the scheme named by ``mover``: the displacement, and for
-    m4 the current level's series (None for the other schemes)."""
+def displacement(mover: MoverKind, cloud: PointCloud, dt: float | None = None):
+    """Dispatch to the scheme named by ``mover``, or to its bootstrap while
+    ``cloud`` has no history: the displacement, and for m4 the current
+    level's series (None for the other schemes). A given ``dt`` is a
+    shortened step; the backward differences keep the spacing ``cloud.dt``."""
+    dt = cloud.dt if dt is None else check_positive(dt, "dt")
+    mover = mover if cloud.has_history else mover.bootstrap
     if mover.name == "m1":
-        return move_m1(ctx), None
+        return move_m1(cloud, dt), None
     if mover.name == "m2":
-        return move_m2(ctx), None
+        return move_m2(cloud, dt), None
     if mover.name == "m3":
-        return move_m3(ctx, mover.terms), None
-    return move_m4(ctx, mover.terms)
+        return move_m3(cloud, dt, mover.terms), None
+    return move_m4(cloud, dt, mover.terms)

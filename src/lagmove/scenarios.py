@@ -1,11 +1,11 @@
 """Scenario construction and the time-stepping driver.
 
 A step does, in order: read the current-level gradient (analytic from the
-field, or WLSQ-reconstructed from neighbor velocities), build the move
-context, displace points with the configured scheme, sample the field at
-the new positions and time, and shift the history. Movement always happens
-before the velocity update. The ``PointCloud`` is the driver's state; the
-kernels it calls take arrays.
+field, or WLSQ-reconstructed from neighbor velocities), displace points
+with the configured scheme, sample the field at the new positions and
+time, and shift the history. Movement always happens before the velocity
+update. The ``PointCloud`` is the one state of a step: the movers read it,
+the other kernels take arrays.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from .fields import (
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _TIME_EPS = 1e-12
+MAX_STEPS = 10**7  # longest plan accepted; the paper's finest sweep takes 1 257 steps
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,7 @@ def initial_cloud(scenario: Scenario, config: RunConfig) -> PointCloud:
 def step(
     cloud: PointCloud, scenario: Scenario, config: RunConfig, dt: float | None = None
 ) -> PointCloud:
-    """Advance one step. Uses the bootstrap scheme while history is missing.
+    """Advance one step; ``movers.displacement`` picks the first step's scheme.
 
     A given ``dt`` is a shortened step that lands exactly on ``time + dt``:
     backward differences inside the movers keep the regular spacing, only
@@ -196,18 +197,7 @@ def step(
     The m4 series the mover returns is kept for the next step, except after
     a shortened step, whose series belongs to another dt.
     """
-    mover = config.mover if cloud.has_history else config.mover.bootstrap
-    ctx = movers.MoveContext(
-        dt=cloud.dt if dt is None else dt,
-        v_n=cloud.velocities,
-        v_prev=cloud.velocities_prev,
-        grad_n=cloud.grad_velocities,
-        grad_prev=cloud.grad_velocities_prev,
-        has_history=cloud.has_history,
-        dt_history=cloud.dt,
-        series_prev=cloud.series_prev,
-    )
-    disp, series = movers.displacement(mover, ctx)
+    disp, series = movers.displacement(config.mover, cloud, dt)
     moved = apply_displacements(cloud, disp)
     if dt is None:
         t_new = moved.initial_time + (moved.step + 1) * moved.dt
@@ -246,8 +236,12 @@ def _record(cloud, scenario, first=None) -> diagnostics.DiagnosticsRecord:
 
 
 def plan_steps(t_end: float, dt: float) -> tuple[int, float]:
-    """Number of full steps and the leftover interval needed to hit t_end."""
-    n_full = int(np.floor(t_end / dt + 1e-9))
+    """Number of full steps and the leftover interval needed to hit t_end,
+    which must take at most MAX_STEPS steps."""
+    steps = t_end / dt
+    if not steps <= MAX_STEPS:
+        raise StructuralError(f"t_end / dt = {steps:.6g} steps, more than the limit of {MAX_STEPS}")
+    n_full = int(np.floor(steps + 1e-9))
     remainder = t_end - n_full * dt
     if remainder <= _TIME_EPS * max(1.0, abs(t_end)):
         remainder = 0.0
@@ -257,11 +251,11 @@ def plan_steps(t_end: float, dt: float) -> tuple[int, float]:
 def run(scenario: Scenario, config: RunConfig) -> list[diagnostics.DiagnosticsRecord]:
     """Full run to t_end; when dt does not divide t_end the last step is
     shortened to land exactly on it. Records every stride plus the final step."""
+    n_full, remainder = plan_steps(scenario.t_end, config.dt)
     cloud = initial_cloud(scenario, config)
     first = _record(cloud, scenario)
     records = [first]
 
-    n_full, remainder = plan_steps(scenario.t_end, config.dt)
     for _ in range(n_full):
         cloud = step(cloud, scenario, config)
         if cloud.step % config.output_stride == 0:

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import gfdm, movers, neighbors
+from .cloud import advance_history, make_cloud
 from .fields import LinearField, Lissajous, ModulatedRotation, RigidRotation
 
 
@@ -40,9 +41,9 @@ def check_reduction_identities():
         v = rng.normal(size=(4, 2))
         vp = rng.normal(size=(4, 2))
         zero = np.zeros((4, 2, 2))
-        ctx = movers.MoveContext(0.1, v, vp, zero, zero, True)
-        worst = max(worst, np.abs(movers.move_m3(ctx) - movers.move_m1(ctx)).max())
-        worst = max(worst, np.abs(movers.move_m4(ctx)[0] - movers.move_m2(ctx)).max())
+        c = advance_history(make_cloud(zero[:, 0], vp, zero, smoothing_length=1.0, dt=0.1), v, zero)
+        worst = max(worst, np.abs(movers.move_m3(c, 0.1) - movers.move_m1(c, 0.1)).max())
+        worst = max(worst, np.abs(movers.move_m4(c, 0.1)[0] - movers.move_m2(c, 0.1)).max())
     return worst <= 1e-15, f"max reduction mismatch {worst:.3e}"
 
 

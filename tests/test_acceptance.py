@@ -266,8 +266,7 @@ def test_criterion_10_neighbor_oracle():
 
 def test_criterion_11_csv_determinism(tmp_path):
     argv = [
-        "run", "--scenario", "rotation", "--mover", "m3", "--dt", "0.05",
-        "--seed", "7", "--stride", "5",
+        "run", "--scenario", "rotation", "--mover", "m3", "--dt", "0.05", "--stride", "5",
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli.main(argv + ["--out", str(a)]) == 0

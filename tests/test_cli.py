@@ -35,6 +35,16 @@ def test_parse_bad_mover_is_usage_error(capsys):
     assert "--mover" in capsys.readouterr().err
 
 
+def test_seed_is_not_an_option(capsys):
+    assert cli.main(["run", "--dt", "0.1", "--seed", "7"]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_run_rejects_step_plan_past_the_limit(capsys):
+    assert cli.main(["run", "--dt", "5e-324", "--t-end", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_parse_sweep_dts():
     parser = cli.build_parser()
     args = parser.parse_args(["sweep", "--dts", "0.2,0.1,0.05"])
@@ -164,7 +174,7 @@ SWEEP_ARGV = ["sweep", "--scenario", "rotation", "--dts", "0.1", "--t-end", "0.3
 def test_sweep_propagates_code_bugs(monkeypatch):
     from lagmove import movers
 
-    def broken(mover, ctx):
+    def broken(mover, cloud, dt=None):
         raise TypeError("a bug, not a failed cell")
 
     monkeypatch.setattr(movers, "displacement", broken)
@@ -178,10 +188,10 @@ def test_sweep_reports_failed_cell_reason(monkeypatch, tmp_path, capsys):
 
     original = movers.displacement
 
-    def flaky(mover, ctx):
+    def flaky(mover, cloud, dt=None):
         if mover.name == "m2":
             raise NumericInputError("v_n contains non-finite entries")
-        return original(mover, ctx)
+        return original(mover, cloud, dt)
 
     monkeypatch.setattr(movers, "displacement", flaky)
     out, summary = tmp_path / "sweep.csv", tmp_path / "sweep.json"

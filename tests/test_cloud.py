@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lagmove.cloud import advance_history, apply_displacements, make_cloud
+from lagmove.cloud import LevelSeries, advance_history, apply_displacements, make_cloud
 from lagmove.errors import NumericInputError, StructuralError
 
 
@@ -31,6 +33,28 @@ def test_advance_sets_history_flag():
     # monotone: stays true
     out2 = advance_history(out, out.velocities, out.grad_velocities)
     assert out2.has_history
+
+
+def test_advance_rejects_series_of_another_size():
+    cloud = small_cloud()
+    series = LevelSeries(np.zeros((2, 2)), cloud.dt, 5)
+    with pytest.raises(StructuralError):
+        advance_history(cloud, cloud.velocities, cloud.grad_velocities, series)
+    kept = LevelSeries(np.zeros((3, 2)), cloud.dt, 5)
+    assert advance_history(cloud, cloud.velocities, cloud.grad_velocities, kept).series_prev is kept
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [("velocities_prev", (1, 2)), ("velocities_prev", (3, 2, 2)),
+     ("grad_velocities_prev", (1, 2, 2)), ("grad_velocities_prev", (3, 2))],
+    ids=["velocities_prev-rows", "velocities_prev-ndim", "grad_velocities_prev-rows",
+         "grad_velocities_prev-ndim"],
+)
+def test_validate_rejects_misshapen_previous_level(name, shape):
+    cloud = replace(small_cloud(), **{name: np.zeros(shape)})
+    with pytest.raises(StructuralError):
+        cloud.validate()
 
 
 def test_time_is_recomputed_from_step():
@@ -114,8 +138,6 @@ def test_per_point_locality_commutes_with_permutation():
     perm = rng.permutation(10)
 
     direct = apply_displacements(advance_history(cloud, newv, newg), disp)
-
-    from dataclasses import replace
 
     permuted = replace(
         cloud,

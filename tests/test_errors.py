@@ -11,7 +11,7 @@ from lagmove.errors import (
     check_positive,
 )
 from lagmove.gfdm import all_gradients
-from lagmove.movers import MoveContext, exp_series_apply
+from lagmove.movers import exp_series_apply
 from lagmove.neighbors import build_index
 
 
@@ -27,7 +27,6 @@ THREE_COLUMN_CALLS = {
     "build_index": lambda: build_index(POS, 0.5),
     "all_gradients": lambda: all_gradients(POS, VEL, build_index(POS[:, :2], 0.5), 0.5),
     "measure": lambda: measure(POS),
-    "MoveContext": lambda: MoveContext(0.1, VEL, VEL, GRAD, GRAD, True),
     "exp_series_apply": lambda: exp_series_apply(GRAD, VEL, 0.1, 5),
 }
 

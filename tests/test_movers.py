@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lagmove.cloud import advance_history, make_cloud
 from lagmove.errors import HistoryMissingError, NumericInputError, StructuralError
 from lagmove.movers import (
-    MoveContext,
+    MOVER_NAMES,
     MoverKind,
     displacement,
     exp_series_apply,
@@ -17,32 +19,27 @@ from lagmove.movers import (
 from lagmove.validate import phi1_expm
 
 
-def ctx_of(v_n, v_prev=None, grad_n=None, grad_prev=None, dt=0.1, has_history=True):
+def cloud_of(v_n, v_prev=None, grad_n=None, grad_prev=None, dt=0.1, has_history=True):
+    """A cloud at the origin whose levels are the given ones: the previous
+    level installed by ``make_cloud``, the current one by ``advance_history``."""
     v_n = np.atleast_2d(np.asarray(v_n, dtype=float))
-    n, d = v_n.shape
-    if v_prev is None:
-        v_prev = np.zeros_like(v_n)
-    if grad_n is None:
-        grad_n = np.zeros((n, d, d))
-    if grad_prev is None:
-        grad_prev = np.zeros((n, d, d))
-    return MoveContext(
-        dt,
-        v_n,
-        np.atleast_2d(np.asarray(v_prev, dtype=float)),
-        np.asarray(grad_n, dtype=float).reshape(n, d, d),
-        np.asarray(grad_prev, dtype=float).reshape(n, d, d),
-        has_history,
-    )
+    n = len(v_n)
+    grad_n = np.zeros((n, 2, 2)) if grad_n is None else np.asarray(grad_n, dtype=float)
+    if not has_history:
+        return make_cloud(np.zeros((n, 2)), v_n, grad_n, smoothing_length=1.0, dt=dt)
+    v_prev = np.zeros_like(v_n) if v_prev is None else np.atleast_2d(np.asarray(v_prev, dtype=float))
+    grad_prev = np.zeros((n, 2, 2)) if grad_prev is None else np.asarray(grad_prev, dtype=float)
+    cloud = make_cloud(np.zeros((n, 2)), v_prev, grad_prev, smoothing_length=1.0, dt=dt)
+    return advance_history(cloud, v_n, grad_n)
 
 
 def test_m1_direct_product():
-    assert np.allclose(move_m1(ctx_of([1.0, 0.0], dt=0.1)), [[0.1, 0.0]])
+    assert np.allclose(move_m1(cloud_of([1.0, 0.0]), 0.1), [[0.1, 0.0]])
 
 
 def test_m1_tangential_drift_grows_radius():
     # boundary point of a rotating disc: moving along the tangent leaves the circle
-    disp = move_m1(ctx_of([0.0, 1.0], dt=0.05))
+    disp = move_m1(cloud_of([0.0, 1.0], dt=0.05), 0.05)
     new = np.array([1.0, 0.0]) + disp[0]
     assert np.allclose(disp, [[0.0, 0.05]])
     assert np.linalg.norm(new) == pytest.approx(np.sqrt(1 + 0.05**2))
@@ -56,25 +53,25 @@ def test_m1_radius_growth_closed_form():
     x = np.array([1.0, 0.0])
     for _ in range(steps):
         v = np.array([-x[1], x[0]])
-        x = x + move_m1(ctx_of(v, dt=dt))[0]
+        x = x + move_m1(cloud_of(v, dt=dt), dt)[0]
     assert np.linalg.norm(x) == pytest.approx((1 + dt**2) ** (steps / 2), rel=1e-12)
 
 
 def test_m2_substitution():
-    got = move_m2(ctx_of([2.0, 0.0], v_prev=[1.0, 0.0], dt=0.1))
+    got = move_m2(cloud_of([2.0, 0.0], v_prev=[1.0, 0.0]), 0.1)
     assert np.allclose(got, [[0.25, 0.0]])
 
 
 def test_m2_equals_m1_for_constant_velocity():
-    ctx = ctx_of([1.3, -0.4], v_prev=[1.3, -0.4], dt=0.07)
-    assert np.allclose(move_m2(ctx), move_m1(ctx))
+    cloud = cloud_of([1.3, -0.4], v_prev=[1.3, -0.4], dt=0.07)
+    assert np.allclose(move_m2(cloud, 0.07), move_m1(cloud, 0.07))
 
 
 def test_m2_requires_history():
     with pytest.raises(HistoryMissingError):
-        move_m2(ctx_of([1.0, 0.0], has_history=False))
+        move_m2(cloud_of([1.0, 0.0], has_history=False), 0.1)
     with pytest.raises(HistoryMissingError):
-        move_m4(ctx_of([1.0, 0.0], has_history=False))
+        move_m4(cloud_of([1.0, 0.0], has_history=False), 0.1)
 
 
 def test_series_zero_matrix_offset0():
@@ -175,54 +172,47 @@ def test_m4_cached_series_matches_recomputation():
     series = None
     for _ in range(10):
         v, g = rng.normal(size=(6, 2)), rng.normal(size=(6, 2, 2))
-        disp, series = move_m4(MoveContext(dt, v, v_prev, g, g_prev, True, series_prev=series))
-        assert np.array_equal(disp, move_m4(MoveContext(dt, v, v_prev, g, g_prev, True))[0])
+        cloud = cloud_of(v, v_prev, g, g_prev, dt=dt)
+        disp, series = move_m4(replace(cloud, series_prev=series), dt)
+        assert np.array_equal(disp, move_m4(cloud, dt)[0])
         v_prev, g_prev = v, g
     with pytest.raises(StructuralError):
-        MoveContext(dt, v[:3], v_prev[:3], g[:3], g_prev[:3], True, series_prev=series)
-
-
-def level(n=3):
-    return np.ones((n, 2)), np.zeros((n, 2, 2))
+        advance_history(cloud_of(v[:3], dt=dt), v[:3], g[:3], series)
 
 
 @pytest.mark.parametrize(
-    "steps, error",
-    [((np.nan, None), NumericInputError), ((np.inf, None), NumericInputError),
-     ((0.1, np.nan), NumericInputError), ((0.1, np.inf), NumericInputError),
-     ((0.1, 0.0), StructuralError), ((0.1, -0.1), StructuralError)],
-    ids=["dt-nan", "dt-inf", "dt_history-nan", "dt_history-inf", "dt_history-zero",
-         "dt_history-negative"],
+    "dt, error",
+    [(np.nan, NumericInputError), (np.inf, NumericInputError), (0.0, StructuralError),
+     (-0.1, StructuralError)],
+    ids=["nan", "inf", "zero", "negative"],
 )
-def test_context_rejects_bad_time_steps(steps, error):
-    v, g = level()
-    dt, dt_history = steps
+@pytest.mark.parametrize("name", MOVER_NAMES)
+def test_displacement_rejects_bad_dt(name, dt, error):
     with pytest.raises(error):
-        MoveContext(dt, v, v, g, g, True, dt_history=dt_history)
+        displacement(MoverKind(name), cloud_of([[1.0, 0.0]] * 3), dt)
 
 
-def test_context_dt_history_none_means_dt():
-    v, g = level()
-    assert MoveContext(0.1, v, v, g, g, True, dt_history=None).dt_history == 0.1
-    assert MoveContext(0.1, v, v, g, g, True, dt_history=0.2).dt_history == 0.2
+def test_shortened_m2_step_differences_over_cloud_dt():
+    # accel = (2 - 1) / cloud.dt = 10 over the levels' spacing, integrated over 0.04
+    cloud = cloud_of([2.0, 0.0], v_prev=[1.0, 0.0], dt=0.1)
+    assert np.allclose(displacement(MoverKind("m2"), cloud, 0.04)[0], [[0.088, 0.0]])
+    # no dt: a regular step of cloud.dt
+    assert np.array_equal(displacement(MoverKind("m2"), cloud)[0], move_m2(cloud, 0.1))
 
 
-@pytest.mark.parametrize(
-    "name, shape",
-    [("v_prev", (1, 2)), ("v_prev", (3, 2, 2)), ("grad_prev", (1, 2, 2)), ("grad_prev", (3, 2))],
-    ids=["v_prev-rows", "v_prev-ndim", "grad_prev-rows", "grad_prev-ndim"],
-)
-def test_context_rejects_misshapen_previous_level(name, shape):
-    v, g = level()
-    args = {"v_n": v, "v_prev": v, "grad_n": g, "grad_prev": g, name: np.zeros(shape)}
-    with pytest.raises(StructuralError):
-        MoveContext(0.1, **args, has_history=True)
+def test_displacement_bootstraps_without_history():
+    rng = np.random.default_rng(8)
+    cloud = cloud_of(rng.normal(size=(5, 2)), grad_n=rng.normal(size=(5, 2, 2)), has_history=False)
+    disp, series = displacement(MoverKind("m4"), cloud)
+    assert series is None and np.array_equal(disp, move_m3(cloud, cloud.dt))
+    disp, series = displacement(MoverKind("m2"), cloud)
+    assert series is None and np.array_equal(disp, move_m1(cloud, cloud.dt))
 
 
 def test_m3_single_step_rotation_accuracy():
     a = np.array([[[0.0, -1.0], [1.0, 0.0]]])
     v = np.array([[0.0, 1.0]])  # field at (1, 0)
-    disp = move_m3(ctx_of([0.0, 1.0], grad_n=a, dt=0.1), terms=5)[0]
+    disp = move_m3(cloud_of([0.0, 1.0], grad_n=a), 0.1, terms=5)[0]
     exact = np.array([np.cos(0.1) - 1.0, np.sin(0.1)])
     assert np.abs(disp - exact).max() <= 2e-7
 
@@ -230,36 +220,36 @@ def test_m3_single_step_rotation_accuracy():
 def test_reduction_m3_to_m1_without_gradient():
     rng = np.random.default_rng(2)
     for _ in range(30):
-        ctx = ctx_of(rng.normal(size=(5, 2)), dt=rng.uniform(0.01, 0.3))
-        m3, m1 = move_m3(ctx), move_m1(ctx)
+        dt = rng.uniform(0.01, 0.3)
+        cloud = cloud_of(rng.normal(size=(5, 2)), dt=dt)
+        m3, m1 = move_m3(cloud, dt), move_m1(cloud, dt)
         assert np.abs(m3 - m1).max() <= 1e-15 * max(1.0, np.abs(m1).max())
 
 
 def test_reduction_m4_to_m2_without_gradients():
     rng = np.random.default_rng(3)
     for _ in range(30):
-        ctx = ctx_of(
-            rng.normal(size=(5, 2)), v_prev=rng.normal(size=(5, 2)), dt=rng.uniform(0.01, 0.3)
-        )
-        m4, m2 = move_m4(ctx)[0], move_m2(ctx)
+        dt = rng.uniform(0.01, 0.3)
+        cloud = cloud_of(rng.normal(size=(5, 2)), v_prev=rng.normal(size=(5, 2)), dt=dt)
+        m4, m2 = move_m4(cloud, dt)[0], move_m2(cloud, dt)
         assert np.abs(m4 - m2).max() <= 1e-15 * max(1.0, np.abs(m2).max())
 
 
 def test_m4_steady_zero_gradient_matches_m3():
     # with A = 0 and steady velocity, m4 collapses to the m3 (= m1) value
-    ctx = ctx_of([1.0, 2.0], v_prev=[1.0, 2.0], dt=0.1)
-    assert np.allclose(move_m4(ctx)[0], move_m3(ctx))
+    cloud = cloud_of([1.0, 2.0], v_prev=[1.0, 2.0])
+    assert np.allclose(move_m4(cloud, 0.1)[0], move_m3(cloud, 0.1))
 
 
 def test_zero_velocity_fixed_point():
-    ctx = ctx_of(
+    cloud = cloud_of(
         [0.0, 0.0],
         v_prev=[0.0, 0.0],
         grad_n=np.array([[[0.3, 0.1], [0.2, -0.3]]]),
         grad_prev=np.array([[[0.1, 0.0], [0.0, -0.1]]]),
     )
     for kind in ("m1", "m2", "m3", "m4"):
-        assert np.array_equal(displacement(MoverKind(kind), ctx)[0], np.zeros((1, 2)))
+        assert np.array_equal(displacement(MoverKind(kind), cloud)[0], np.zeros((1, 2)))
 
 
 def test_mover_kind_validation_and_bootstrap():

@@ -6,10 +6,11 @@ import pytest
 
 from lagmove import diagnostics, movers
 from lagmove.cloud import make_cloud
-from lagmove.errors import StructuralError
+from lagmove.errors import NumericInputError, StructuralError
 from lagmove.movers import MoverKind
 from lagmove.neighbors import build_index
 from lagmove.scenarios import (
+    MAX_STEPS,
     RunConfig,
     convergence_sweep,
     initial_cloud,
@@ -84,6 +85,13 @@ def test_plan_steps():
     n, rem = plan_steps(4 * np.pi, 0.01)
     assert n == 1256
     assert rem == pytest.approx(4 * np.pi - 12.56, abs=1e-12)
+    assert plan_steps(1.0, 1.0 / MAX_STEPS)[0] == MAX_STEPS
+
+
+@pytest.mark.parametrize("t_end, dt", [(0.5, 1e-300), (1.0, 5e-324), (1.0, 0.99 / MAX_STEPS)])
+def test_plan_steps_rejects_plans_past_the_limit(t_end, dt):
+    with pytest.raises(StructuralError, match=str(MAX_STEPS)):
+        plan_steps(t_end, dt)
 
 
 def test_single_step_composition():
@@ -162,6 +170,21 @@ def test_short_step_keeps_history_spacing():
     v, v_prev = cloud.velocities, cloud.velocities_prev
     expected = v * dt_s + 0.5 * (v - v_prev) / 0.05 * dt_s**2
     assert np.allclose(out.positions - cloud.positions, expected, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("history", [False, True], ids=["fresh", "history"])
+@pytest.mark.parametrize("name", movers.MOVER_NAMES)
+def test_step_rejects_non_finite_velocities(name, history):
+    # the cloud was built around its checks; the step still scans what it moves
+    sc = make_scenario("rotation", n=20)
+    cfg = config(name, dt=0.05)
+    cloud = initial_cloud(sc, cfg)
+    if history:
+        cloud = step(cloud, sc, cfg)
+    bad = cloud.velocities.copy()
+    bad[3, 0] = np.nan
+    with pytest.raises(NumericInputError):
+        step(replace(cloud, velocities=bad), sc, cfg)
 
 
 def test_lissajous_m2_better_than_m1():
