@@ -64,10 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-end", type=float, default=None)
         p.add_argument("--gradient", default="analytic", choices=("analytic", "numeric"))
         p.add_argument("--terms", type=int, default=5)
-        p.add_argument("--radius-factor", type=float, default=1.0)
         p.add_argument("--out", default=None)
         p.add_argument("--summary", default=None)
-        p.add_argument("--n-points", type=int, default=222)
+        p.add_argument("--n-points", type=int, default=scenarios.PAPER_N)
 
     p_run = sub.add_parser("run", help="run one scenario with one mover")
     common(p_run)
@@ -83,25 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_scenario(args) -> scenarios.Scenario:
-    kwargs = {"n": args.n_points}
-    if args.t_end is not None:
-        kwargs["t_end"] = args.t_end
-    return scenarios.make_scenario(args.scenario, **kwargs)
-
-
 def _config(args, mover: str, dt: float, **kwargs) -> scenarios.RunConfig:
     return scenarios.RunConfig(
         mover=MoverKind(mover, args.terms),
         dt=dt,
         gradient_mode=args.gradient,
-        radius_factor=args.radius_factor,
         **kwargs,
     )
 
 
 def cmd_run(args) -> int:
-    scenario = _make_scenario(args)
+    scenario = scenarios.make_scenario(args.scenario, args.n_points, args.t_end)
     records = scenarios.run(scenario, _config(args, args.mover, args.dt, output_stride=args.stride))
     if args.out:
         write_csv(records, args.out)
@@ -136,7 +127,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--dts: {exc}") from exc
     if not dts:
         raise UsageError("--dts must list at least one time step")
-    scenario = _make_scenario(args)
+    scenario = scenarios.make_scenario(args.scenario, args.n_points, args.t_end)
     base = _config(args, "m1", dts[0])
     cells = scenarios.convergence_sweep(scenario, base, dts)
     if args.out:

@@ -1,10 +1,12 @@
 """Exception types shared across the package, and the input contract they guard.
 
 lagmove is 2-D. A point array (positions, velocities, displacements) is a
-numeric (N, 2) array with N >= 1, a gradient array is (N, 2, 2), and a time
-step, length or radius is a finite positive real. ``check_points`` and
-``check_positive`` are the only places that decide this; every malformed
-input they meet raises a ``StructuralError`` or one of its subclasses.
+numeric (N, 2) array with N >= 1, a gradient array is (N, 2, 2), a time
+step, length or radius is a finite positive real, and a count (points,
+series terms, output stride) is an integral number, not a bool, with a
+lower bound. ``check_points``, ``check_positive`` and ``check_count`` are
+the only places that decide this; every malformed input they meet raises a
+``StructuralError`` or one of its subclasses.
 """
 import math
 import numbers
@@ -64,6 +66,15 @@ def check_points(
         raise StructuralError(f"{what} has {len(x)} rows, expected {rows or 'at least 1'}")
     if finite and not np.isfinite(x).all():
         raise NumericInputError(f"{what} contains non-finite entries")
+    return x
+
+
+def check_count(x: int, what: str, minimum: int) -> int:
+    """``x`` itself, if it is an integral number (not a bool) of at least ``minimum``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise StructuralError(f"{what} must be an integer, not {type(x).__name__}")
+    if x < minimum:
+        raise StructuralError(f"{what} must be >= {minimum}, got {x}")
     return x
 
 

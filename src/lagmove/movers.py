@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import LevelSeries, PointCloud
-from .errors import HistoryMissingError, StructuralError, check_points, check_positive
+from .errors import HistoryMissingError, StructuralError, check_count, check_points, check_positive
 
 DEFAULT_TERMS = 5
 MOVER_NAMES = ("m1", "m2", "m3", "m4")
@@ -40,8 +40,7 @@ class MoverKind:
     def __post_init__(self):
         if self.name not in MOVER_NAMES:
             raise StructuralError(f"unknown mover {self.name!r}")
-        if self.terms < 1:
-            raise StructuralError("series term count must be >= 1")
+        check_count(self.terms, "series term count", 1)
 
     @property
     def bootstrap(self) -> "MoverKind":
@@ -72,8 +71,7 @@ def exp_series_apply(
     product works on the components g_ij = grad[:, i, j] and w_i of
     grad^k v, row by row: w0' = g00 w0 + g01 w1, w1' = g10 w0 + g11 w1.
     """
-    if terms < 1:
-        raise StructuralError("terms must be >= 1")
+    check_count(terms, "terms", 1)
     if offset not in (0, 1):
         raise StructuralError("offset must be 0 or 1")
     check_positive(dt, "dt")

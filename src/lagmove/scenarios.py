@@ -1,4 +1,9 @@
-"""Scenario construction and the time-stepping driver.
+"""The scenario table and the time-stepping driver.
+
+``SCENARIOS`` maps each of the paper's test cases to its ``Scenario`` at
+the paper's size ``PAPER_N`` and its default t_end; ``make_scenario`` sets
+the size and, when given, the t_end. Point counts and output strides are
+checked by ``errors.check_count``.
 
 A step does, in order: read the current-level gradient (analytic from the
 field, or WLSQ-reconstructed from neighbor velocities), displace points
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import diagnostics, gfdm, movers, neighbors
 from .cloud import PointCloud, advance_history, apply_displacements, make_cloud
-from .errors import LagmoveError, StructuralError, check_positive
+from .errors import LagmoveError, StructuralError, check_count, check_positive
 from .fields import (
     Lissajous,
     LinearField,
@@ -29,6 +34,7 @@ from .fields import (
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _TIME_EPS = 1e-12
 MAX_STEPS = 10**7  # longest plan accepted; the paper's finest sweep takes 1 257 steps
+PAPER_N = 222  # the paper's disc size
 
 
 @dataclass(frozen=True)
@@ -44,16 +50,15 @@ class Scenario:
     exact_center_offset: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.n_points < 3:
-            raise StructuralError("a scenario needs at least 3 points")
+        check_count(self.n_points, "n_points", 3)
         check_positive(self.disc_radius, "disc radius")
         check_positive(self.t_end, "t_end")
 
     @property
     def smoothing_length(self) -> float:
-        # 0.3 r at the paper's N = 222, then in step with the mean spacing
+        # 0.3 r at the paper's size PAPER_N, then in step with the mean spacing
         # ~ r / sqrt(N), so a stencil keeps ~16 neighbors at any N
-        return 0.3 * self.disc_radius * math.sqrt(222 / self.n_points)
+        return 0.3 * self.disc_radius * math.sqrt(PAPER_N / self.n_points)
 
 
 @dataclass(frozen=True)
@@ -61,16 +66,13 @@ class RunConfig:
     mover: movers.MoverKind
     dt: float
     gradient_mode: str = "analytic"     # analytic | numeric
-    radius_factor: float = 1.0
     output_stride: int = 10
 
     def __post_init__(self):
         check_positive(self.dt, "dt")
-        check_positive(self.radius_factor, "radius factor")
         if self.gradient_mode not in ("analytic", "numeric"):
             raise StructuralError(f"unknown gradient mode {self.gradient_mode!r}")
-        if self.output_stride < 1:
-            raise StructuralError("output stride must be >= 1")
+        check_count(self.output_stride, "output stride", 1)
 
 
 def sample_disc(center: tuple[float, float], radius: float, n: int) -> np.ndarray:
@@ -80,8 +82,7 @@ def sample_disc(center: tuple[float, float], radius: float, n: int) -> np.ndarra
     the sampled diameter is exactly 2 r, via antipodal pairs); the interior
     follows the golden-angle sunflower layout.
     """
-    if n < 3:
-        raise StructuralError("need n >= 3 points")
+    check_count(n, "n", 3)
     check_positive(radius, "radius")
     n_boundary = 2 * int(round(np.sqrt(n)))
     n_boundary = min(n_boundary, n if n % 2 == 0 else n - 1)
@@ -98,73 +99,45 @@ def sample_disc(center: tuple[float, float], radius: float, n: int) -> np.ndarra
     return np.concatenate([boundary, interior]) + np.asarray(center, dtype=float)
 
 
-def rotation_scenario(n: int = 222, omega: float = 1.0, *, t_end: float | None = None) -> Scenario:
-    """Unit disc in rigid rotation; default duration is two full rotations."""
-    return Scenario(
-        name="rotation",
-        field=RigidRotation(center=(0.0, 0.0), omega=omega),
-        n_points=n,
-        t_end=4.0 * np.pi / omega if t_end is None else t_end,
-        exact_diameter=2.0,
-        exact_center_offset=lambda t: np.zeros(2),
-    )
+def _no_offset(t: float) -> np.ndarray:
+    return np.zeros(2)
 
 
-def lissajous_scenario(n: int = 222, t_end: float = 3.0) -> Scenario:
-    return Scenario(
-        name="lissajous",
-        field=Lissajous(),
-        n_points=n,
-        t_end=t_end,
-        exact_diameter=2.0,
-        exact_center_offset=lambda t: exact_lissajous_center(t) - exact_lissajous_center(0.0),
-    )
+def _lissajous_offset(t: float) -> np.ndarray:
+    return exact_lissajous_center(t) - exact_lissajous_center(0.0)
 
 
-def modulated_rotation_scenario(
-    n: int = 222, omega0: float = 1.0, freq: float = 0.5, t_end: float = 10.0
-) -> Scenario:
-    """Unit disc in modulated rigid rotation.
-
-    The default t_end = 10 spans whole modulation periods (five at
-    freq = 0.5). When dt divides the period, a rate frozen at each step's
-    start integrates over them to the exact angle, so an error read only at
-    t_end hides m3's phase lag.
-    """
-    return Scenario(
-        name="modulated-rotation",
-        field=ModulatedRotation(center=(0.0, 0.0), omega0=omega0, modulation_freq=freq),
-        n_points=n,
-        t_end=t_end,
-        exact_diameter=2.0,
-        exact_center_offset=lambda t: np.zeros(2),
-    )
-
-
-def linear_field_scenario(n: int = 222, t_end: float = 2.0) -> Scenario:
+SCENARIOS: dict[str, Scenario] = {
+    # unit disc, two full rotations
+    "rotation": Scenario(
+        "rotation", RigidRotation(), PAPER_N, 4.0 * np.pi,
+        exact_diameter=2.0, exact_center_offset=_no_offset,
+    ),
+    "lissajous": Scenario(
+        "lissajous", Lissajous(), PAPER_N, 3.0,
+        exact_diameter=2.0, exact_center_offset=_lissajous_offset,
+    ),
+    # t_end = 10 spans five whole modulation periods. When dt divides the
+    # period, a rate frozen at each step's start integrates over them to
+    # the exact angle, so an error read only at t_end hides m3's phase lag.
+    "modulated-rotation": Scenario(
+        "modulated-rotation", ModulatedRotation(), PAPER_N, 10.0,
+        exact_diameter=2.0, exact_center_offset=_no_offset,
+    ),
     # trace-free A keeps the flow divergence-free
-    return Scenario(
-        name="linear-field",
-        field=LinearField(A=((0.2, 1.0), (0.3, -0.2)), b=(0.5, -0.1)),
-        n_points=n,
-        t_end=t_end,
-    )
-
-
-SCENARIOS: dict[str, Callable[..., Scenario]] = {
-    "rotation": rotation_scenario,
-    "lissajous": lissajous_scenario,
-    "modulated-rotation": modulated_rotation_scenario,
-    "linear-field": linear_field_scenario,
+    "linear-field": Scenario(
+        "linear-field", LinearField(A=((0.2, 1.0), (0.3, -0.2)), b=(0.5, -0.1)), PAPER_N, 2.0,
+    ),
 }
 
 
-def make_scenario(name: str, **kwargs) -> Scenario:
+def make_scenario(name: str, n: int = PAPER_N, t_end: float | None = None) -> Scenario:
+    """Row ``name`` of the table with ``n`` points, run to ``t_end`` (the row's own when None)."""
     try:
-        factory = SCENARIOS[name]
+        scenario = SCENARIOS[name]
     except KeyError:
         raise StructuralError(f"unknown scenario {name!r}") from None
-    return factory(**kwargs)
+    return replace(scenario, n_points=n, t_end=scenario.t_end if t_end is None else t_end)
 
 
 def _field_state(scenario: Scenario, config: RunConfig, positions, t, h):
@@ -173,7 +146,7 @@ def _field_state(scenario: Scenario, config: RunConfig, positions, t, h):
     if config.gradient_mode == "analytic":
         g = scenario.field.gradient(positions, t)
     else:
-        index = neighbors.build_index(positions, config.radius_factor * h)
+        index = neighbors.build_index(positions, h)
         g = gfdm.all_gradients(positions, v, index, h)
     return v, g
 
@@ -240,7 +213,7 @@ def plan_steps(t_end: float, dt: float) -> tuple[int, float]:
     which must take at most MAX_STEPS steps."""
     steps = t_end / dt
     if not steps <= MAX_STEPS:
-        raise StructuralError(f"t_end / dt = {steps:.6g} steps, more than the limit of {MAX_STEPS}")
+        raise StructuralError(f"t_end / dt = {t_end!r} / {dt!r} = {steps:.6g} steps, more than {MAX_STEPS}")
     n_full = int(np.floor(steps + 1e-9))
     remainder = t_end - n_full * dt
     if remainder <= _TIME_EPS * max(1.0, abs(t_end)):
@@ -285,15 +258,17 @@ def convergence_sweep(
     dts: list[float],
     mover_names: tuple[str, ...] = movers.MOVER_NAMES,
 ) -> list[SweepCell]:
-    """Cross product of movers and time steps; cells failing with a package
-    or linear-algebra error are marked with the reason and the sweep
-    continues. Sorted by (mover, dt). A stride past the last full step
-    builds only the first and final record of each cell."""
+    """Cross product of movers and time steps, sorted by (mover, dt). Every
+    dt and its step plan are checked before the first cell runs; a cell
+    failing with a package or linear-algebra error while it runs is marked
+    with the reason and the sweep continues. A stride past the last full
+    step builds only the first and final record of each cell."""
+    n_full = {dt: plan_steps(scenario.t_end, check_positive(dt, "dt"))[0] for dt in dts}
     cells = []
     for name in sorted(mover_names):
+        mover = movers.MoverKind(name, base.mover.terms)
         for dt in sorted(dts):
-            config = replace(base, mover=movers.MoverKind(name, base.mover.terms), dt=dt)
-            config = replace(config, output_stride=plan_steps(scenario.t_end, config.dt)[0] + 1)
+            config = replace(base, mover=mover, dt=dt, output_stride=n_full[dt] + 1)
             try:
                 final = run(scenario, config)[-1]
                 cells.append(SweepCell(name, dt, final.eps_dia, final.eps_x, final.eps_V))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lagmove import cli
+from lagmove import cli, scenarios
 from lagmove.diagnostics import DiagnosticsRecord
 
 
@@ -158,14 +158,18 @@ def test_validate_detects_corrupted_series(monkeypatch, capsys):
         ["--dt", "inf"],
         ["--dt", "0.05", "--t-end", "nan"],
         ["--dt", "0.05", "--t-end", "inf"],
-        ["--dt", "0.05", "--radius-factor", "-1"],
-        ["--dt", "0.05", "--radius-factor", "nan"],
     ],
-    ids=["dt-nan", "dt-inf", "t-end-nan", "t-end-inf", "radius-factor-negative", "radius-factor-nan"],
+    ids=["dt-nan", "dt-inf", "t-end-nan", "t-end-inf"],
 )
 def test_run_rejects_bad_reals(flags, capsys):
     assert cli.main(["run", "--scenario", "rotation"] + flags) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deleted_neighbor_radius_flag_is_a_usage_error(capsys):
+    # the neighbor search radius is the smoothing length
+    assert cli.main(["run", "--dt", "0.05", "--t-end", "0.1", "--radius-factor", "2"]) == 1
+    assert "--radius-factor" in capsys.readouterr().err
 
 
 SWEEP_ARGV = ["sweep", "--scenario", "rotation", "--dts", "0.1", "--t-end", "0.3"]
@@ -219,3 +223,24 @@ def test_sweep_rejects_bad_time_steps(dts, capsys):
     # the cell's stride is planned from dt, so dt must be checked first
     assert cli.main(["sweep", "--dts", dts, "--t-end", "0.5"]) == 2
     assert capsys.readouterr().err.startswith("error: dt must be")
+
+
+def test_sweep_checks_every_time_step_before_its_first_cell(monkeypatch, capsys):
+    calls = []
+    original = scenarios.run
+
+    def counted(scenario, config):
+        calls.append(config.dt)
+        return original(scenario, config)
+
+    monkeypatch.setattr(scenarios, "run", counted)
+    assert cli.main(["sweep", "--dts", "0.1,inf", "--t-end", "0.3"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: dt must be finite, got inf")
+
+
+def test_sweep_names_a_time_step_past_the_plan_limit(tmp_path, capsys):
+    out = tmp_path / "bad.csv"
+    assert cli.main(["sweep", "--dts", "0.1,1e-300", "--t-end", "0.3", "--out", str(out)]) == 2
+    assert "1e-300" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,12 +7,14 @@ from lagmove.errors import (
     DimensionError,
     NumericInputError,
     StructuralError,
+    check_count,
     check_points,
     check_positive,
 )
 from lagmove.gfdm import all_gradients
-from lagmove.movers import exp_series_apply
+from lagmove.movers import MoverKind, exp_series_apply
 from lagmove.neighbors import build_index
+from lagmove.scenarios import RunConfig, make_scenario, sample_disc
 
 
 def test_input_errors_are_structural():
@@ -54,3 +56,31 @@ def test_check_points_rejects_non_point_arrays(x):
 def test_check_positive_rejects(x, error):
     with pytest.raises(error):
         check_positive(x, "x")
+
+
+COUNT_SITES = {
+    "Scenario.n_points": lambda n: make_scenario("rotation", n=n),
+    "sample_disc": lambda n: sample_disc((0.0, 0.0), 1.0, n),
+    "RunConfig.output_stride": lambda n: RunConfig(MoverKind("m1"), 0.1, output_stride=n),
+    "MoverKind.terms": lambda n: MoverKind("m3", n),
+    "exp_series_apply": lambda n: exp_series_apply(np.zeros((1, 2, 2)), np.ones((1, 2)), 0.1, n),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", True], ids=["fraction", "string", "bool"])
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_counts_must_be_integers(site, bad):
+    with pytest.raises(StructuralError, match="must be an integer"):
+        COUNT_SITES[site](bad)
+
+
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_numpy_integer_counts_accepted(site):
+    # the series' dt**p / p! cannot be formed past 170 terms
+    COUNT_SITES[site](np.int64(5 if site == "exp_series_apply" else 222))
+
+
+def test_check_count_lower_bound():
+    assert check_count(np.int64(3), "n", 3) == 3
+    with pytest.raises(StructuralError, match="n must be >= 3, got 2"):
+        check_count(2, "n", 3)

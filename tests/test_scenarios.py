@@ -7,11 +7,20 @@ import pytest
 from lagmove import diagnostics, movers
 from lagmove.cloud import make_cloud
 from lagmove.errors import NumericInputError, StructuralError
+from lagmove.fields import (
+    LinearField,
+    Lissajous,
+    ModulatedRotation,
+    RigidRotation,
+    exact_lissajous_center,
+)
 from lagmove.movers import MoverKind
 from lagmove.neighbors import build_index
 from lagmove.scenarios import (
     MAX_STEPS,
+    SCENARIOS,
     RunConfig,
+    Scenario,
     convergence_sweep,
     initial_cloud,
     make_scenario,
@@ -27,11 +36,51 @@ def config(mover="m1", dt=0.05, **kw):
 
 
 def test_non_finite_disc_radius_rejected():
-    # no CLI flag sets the radius; dt, t_end and radius_factor are covered in test_cli
+    # no CLI flag sets the radius; dt and t_end are covered in test_cli
     sc = make_scenario("rotation")
     for bad in (np.nan, np.inf):
         with pytest.raises(StructuralError):
             replace(sc, disc_radius=bad)
+
+
+# field, default t_end and exact diameter of each row, which every pinned result depends on
+TABLE = {
+    "rotation": (RigidRotation(center=(0.0, 0.0), omega=1.0), 4.0 * np.pi, 2.0),
+    "lissajous": (Lissajous(), 3.0, 2.0),
+    "modulated-rotation": (ModulatedRotation(center=(0.0, 0.0), omega0=1.0, modulation_freq=0.5), 10.0, 2.0),
+    "linear-field": (LinearField(A=((0.2, 1.0), (0.3, -0.2)), b=(0.5, -0.1)), 2.0, None),
+}
+
+
+def test_table_holds_the_four_scenarios_in_order():
+    assert list(SCENARIOS) == list(TABLE)
+    assert all(isinstance(sc, Scenario) and sc.name == name for name, sc in SCENARIOS.items())
+
+
+@pytest.mark.parametrize("name", list(TABLE))
+def test_table_rows_keep_their_defaults(name):
+    field, t_end, diameter = TABLE[name]
+    for sc in (make_scenario(name), make_scenario(name, t_end=None), SCENARIOS[name]):
+        assert (sc.field, sc.t_end, sc.n_points, sc.exact_diameter) == (field, t_end, 222, diameter)
+        assert (sc.disc_center, sc.disc_radius) == ((0.0, 0.0), 1.0)
+    sized = make_scenario(name, n=500, t_end=0.5)
+    assert (sized.field, sized.n_points, sized.t_end) == (field, 500, 0.5)
+
+
+def test_table_centroid_offsets():
+    assert SCENARIOS["linear-field"].exact_center_offset is None
+    for t in (0.0, 0.7, 3.0):
+        for name in ("rotation", "modulated-rotation"):
+            assert np.array_equal(SCENARIOS[name].exact_center_offset(t), [0.0, 0.0])
+        assert np.array_equal(
+            SCENARIOS["lissajous"].exact_center_offset(t),
+            exact_lissajous_center(t) - exact_lissajous_center(0.0),
+        )
+
+
+def test_unknown_scenario_rejected():
+    with pytest.raises(StructuralError, match="unknown scenario 'vortex'"):
+        make_scenario("vortex")
 
 
 def test_default_smoothing_length_is_the_papers_at_its_size():
