@@ -6,7 +6,7 @@ velocity-gradient reconstruction, a KD-tree neighbor search, and
 conservation/trajectory diagnostics.
 """
 from .cloud import LevelSeries, PointCloud, advance_history, apply_displacements, make_cloud
-from .diagnostics import DiagnosticsRecord, centroid, eps_volume, eps_x, measure
+from .diagnostics import DiagnosticsRecord, centroid, eps_volume, measure
 from .fields import (
     LinearField,
     Lissajous,

@@ -15,6 +15,14 @@ from scipy.spatial.distance import pdist
 
 from .errors import DegenerateGeometryError, check_points, check_positive
 
+# Fewest rows for which measure() hands Qhull only the rows outside the
+# extreme octagon's inscribed circle; below it the filter costs more than
+# it saves.
+HULL_FILTER_MIN_ROWS = 1000
+# Shrink of that circle's radius, relative to the octagon's size, so that
+# rounding in the edge distances cannot drop a point on its boundary.
+HULL_FILTER_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -32,24 +40,56 @@ def centroid(positions: np.ndarray) -> np.ndarray:
     return check_points(positions, "positions").mean(axis=0)
 
 
+def hull_candidates(positions: np.ndarray) -> np.ndarray:
+    """Mask of the rows that can be convex-hull vertices (Akl & Toussaint 1978).
+
+    The argmax and argmin of x, y, x + y and x - y are hull points and, in
+    counter-clockwise order, the corners of an octagon inside the hull. A
+    row closer to the corners' mean c than the smallest distance r from c
+    to an edge line, less a margin against rounding, lies strictly inside
+    the octagon, so it is no vertex. When r is not positive (collinear or
+    coincident corners) every row is kept.
+    """
+    x, y = positions[:, 0], positions[:, 1]
+    s, d = x + y, x - y
+    corners = positions[[
+        x.argmax(), s.argmax(), y.argmax(), d.argmin(),
+        x.argmin(), s.argmin(), y.argmin(), d.argmax(),
+    ]]
+    c = corners.mean(axis=0)
+    edges = np.roll(corners, -1, axis=0) - corners
+    length = np.hypot(edges[:, 0], edges[:, 1])
+    proper = length > 0.0          # repeated corners make zero-length edges
+    if not proper.any():
+        return np.ones(len(positions), dtype=bool)
+    to_c = c - corners
+    cross = edges[:, 0] * to_c[:, 1] - edges[:, 1] * to_c[:, 0]
+    size = np.hypot(to_c[:, 0], to_c[:, 1]).max()
+    r = (cross[proper] / length[proper]).min() - HULL_FILTER_MARGIN * size
+    if not r > 0.0:
+        return np.ones(len(positions), dtype=bool)
+    dx, dy = x - c[0], y - c[1]
+    return dx * dx + dy * dy >= r * r
+
+
 def measure(positions: np.ndarray) -> tuple[float, float]:
     """Diameter and convex-hull area, from one hull.
 
     The farthest pair of a point set is a pair of hull vertices, so the
     diameter is the maximum pairwise distance over the vertices alone.
+    From ``HULL_FILTER_MIN_ROWS`` rows on, Qhull sees only the rows
+    ``hull_candidates`` keeps, in their order: the hull, and so both
+    measures, are those of all rows.
     """
     if len(check_points(positions, "positions")) < 3:
         raise DegenerateGeometryError("too few points for a full-dimensional hull")
+    if len(positions) >= HULL_FILTER_MIN_ROWS:
+        positions = positions[hull_candidates(positions)]
     try:
         hull = ConvexHull(positions)
     except QhullError as exc:
         raise DegenerateGeometryError(f"degenerate point set: {exc}") from exc
     return float(pdist(positions[hull.vertices]).max()), float(hull.volume)
-
-
-def eps_x(positions: np.ndarray, x_exact: np.ndarray) -> float:
-    """Distance of the centroid from ``x_exact``; checks ``positions`` as ``centroid`` does."""
-    return float(np.linalg.norm(centroid(positions) - np.asarray(x_exact, dtype=float)))
 
 
 def eps_volume(v0: float, v_end: float) -> float:

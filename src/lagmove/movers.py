@@ -26,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import LevelSeries, PointCloud
-from .errors import HistoryMissingError, StructuralError, check_count, check_points, check_positive
+from .errors import (
+    HistoryMissingError,
+    NumericInputError,
+    StructuralError,
+    check_count,
+    check_points,
+    check_positive,
+)
 
 DEFAULT_TERMS = 5
 MOVER_NAMES = ("m1", "m2", "m3", "m4")
@@ -70,29 +77,35 @@ def exp_series_apply(
     offset=1 the inner sums of the change-of-streamlines scheme. Each
     product works on the components g_ij = grad[:, i, j] and w_i of
     grad^k v, row by row: w0' = g00 w0 + g01 w1, w1' = g10 w0 + g11 w1.
+    A coefficient dt^p / p! too large for a float raises NumericInputError.
     """
     check_count(terms, "terms", 1)
     if offset not in (0, 1):
         raise StructuralError("offset must be 0 or 1")
     check_positive(dt, "dt")
+    try:
+        coeffs = [dt**p / math.factorial(p) for p in range(offset + 1, offset + terms + 1)]
+    except OverflowError:
+        raise NumericInputError(
+            f"series coefficient dt**p / p! overflows a float (dt={dt!r}, terms={terms}, offset={offset})"
+        ) from None
     v = check_points(np.asarray(v, dtype=float), "v", finite=False)
     grad = check_points(np.asarray(grad, dtype=float), "grad", len(v), gradient=True, finite=False)
     g00, g01, g10, g11 = grad[:, 0, 0], grad[:, 0, 1], grad[:, 1, 0], grad[:, 1, 1]
     w0, w1 = v[:, 0], v[:, 1]
-    p = offset + 1
-    c = dt**p / math.factorial(p)
-    out0, out1 = c * w0, c * w1
-    for k in range(1, terms):
+    out = np.empty((len(v), 2))
+    out0, out1 = out[:, 0], out[:, 1]
+    np.multiply(coeffs[0], w0, out=out0)
+    np.multiply(coeffs[0], w1, out=out1)
+    for c in coeffs[1:]:
         n0 = g00 * w0
         n0 += g01 * w1
         n1 = g10 * w0
         n1 += g11 * w1
         w0, w1 = n0, n1
-        p = k + offset + 1
-        c = dt**p / math.factorial(p)
         out0 += c * w0
         out1 += c * w1
-    return np.stack([out0, out1], axis=-1)
+    return out
 
 
 def move_m1(cloud: PointCloud, dt: float) -> np.ndarray:
@@ -122,7 +135,9 @@ def move_m4(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS):
         s_old = old.values
     else:
         s_old = exp_series_apply(cloud.grad_velocities_prev, cloud.velocities_prev, dt, terms, 1)
-    disp = cloud.velocities * dt + (s_now - s_old) / cloud.dt
+    disp = s_now - s_old       # a new array: s_now is the next step's s_old
+    disp /= cloud.dt
+    disp += cloud.velocities * dt
     return disp, LevelSeries(s_now, dt, terms)
 
 

@@ -193,7 +193,7 @@ def _record(cloud, scenario, first=None) -> diagnostics.DiagnosticsRecord:
     )
     if scenario.exact_center_offset is not None:
         start = c if first is None else first.centroid
-        e_x = diagnostics.eps_x(cloud.positions, start + scenario.exact_center_offset(cloud.time))
+        e_x = float(np.linalg.norm(c - (start + scenario.exact_center_offset(cloud.time))))
     else:
         e_x = 0.0
     return diagnostics.DiagnosticsRecord(

@@ -166,6 +166,21 @@ def test_run_rejects_bad_reals(flags, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--mover", "m3", "--terms", "200", "--dt", "0.05", "--t-end", "0.1"], "dt=0.05, terms=200, offset=0"),
+        (["--mover", "m4", "--terms", "170", "--dt", "0.05", "--t-end", "0.1"], "dt=0.05, terms=170, offset=1"),
+        (["--mover", "m3", "--terms", "50", "--dt", "1e100", "--t-end", "1e100"], "dt=1e+100, terms=50, offset=0"),
+    ],
+    ids=["m3-terms-200", "m4-terms-170", "m3-dt-1e100"],
+)
+def test_run_series_coefficient_overflow_is_runtime_error(flags, message, capsys):
+    assert cli.main(["run"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: series coefficient") and message in err
+
+
 def test_deleted_neighbor_radius_flag_is_a_usage_error(capsys):
     # the neighbor search radius is the smoothing length
     assert cli.main(["run", "--dt", "0.05", "--t-end", "0.1", "--radius-factor", "2"]) == 1

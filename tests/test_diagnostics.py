@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
-from lagmove.diagnostics import centroid, eps_volume, eps_x, measure
+from lagmove import diagnostics
+from lagmove.diagnostics import HULL_FILTER_MIN_ROWS, centroid, eps_volume, measure
 from lagmove.errors import DegenerateGeometryError, NumericInputError, StructuralError
-from lagmove.scenarios import sample_disc
+from lagmove.movers import MoverKind
+from lagmove.scenarios import RunConfig, initial_cloud, make_scenario, sample_disc, step
 
 
 def points(positions):
@@ -81,12 +84,6 @@ def test_rigid_rotation_leaves_metrics_invariant():
     )
 
 
-def test_eps_x_values():
-    c = points([[3.0, 4.0]] * 3)
-    assert eps_x(c, [0.0, 0.0]) == pytest.approx(5.0)
-    assert eps_x(c, [3.0, 4.0]) == 0.0
-
-
 def test_hull_volume_unit_square():
     c = points([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     assert hull_volume(c) == pytest.approx(1.0)
@@ -133,13 +130,13 @@ SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
 
 def test_non_matrix_positions_rejected():
-    for fn in (centroid, measure, lambda p: eps_x(p, [0.0, 0.0])):
+    for fn in (centroid, measure):
         with pytest.raises(StructuralError):
             fn(np.zeros(5))
 
 
 def test_list_positions_rejected():
-    for fn in (centroid, measure, lambda p: eps_x(p, [0.0, 0.0])):
+    for fn in (centroid, measure):
         with pytest.raises(StructuralError):
             fn(SQUARE)
 
@@ -148,6 +145,125 @@ def test_list_positions_rejected():
 def test_non_finite_positions_rejected(value):
     pos = points(SQUARE)
     pos[2, 0] = value
-    for fn in (centroid, measure, lambda p: eps_x(p, [0.0, 0.0])):
+    for fn in (centroid, measure):
         with pytest.raises(NumericInputError):
             fn(pos)
+
+
+# Qhull over rows outside the extreme octagon's inscribed circle, from
+# HULL_FILTER_MIN_ROWS rows on, against Qhull over every row.
+
+
+def unfiltered_measure(pos):
+    """Qhull over all rows, then the largest distance over every pair of its vertices."""
+    hull = ConvexHull(pos)
+    v = pos[hull.vertices]
+    diff = v[:, None, :] - v[None, :, :]
+    return float(np.sqrt((diff**2).sum(-1)).max()), float(hull.volume)
+
+
+@pytest.fixture(scope="module")
+def rotated_disc():
+    """The 20 000-point disc after 15 m4 steps of the modulated rotation."""
+    scenario = make_scenario("modulated-rotation", 20000)
+    config = RunConfig(MoverKind("m4"), 0.05)
+    cloud = initial_cloud(scenario, config)
+    for _ in range(15):
+        cloud = step(cloud, scenario, config)
+    return cloud.positions
+
+
+def sliver(n, aspect, theta, rng):
+    q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    return (rng.normal(size=(n, 2)) * [1.0, 1.0 / aspect]) @ q.T + [3.0, -7.0]
+
+
+def lattice(n):
+    i, j = np.meshgrid(np.arange(n), np.arange(n))
+    return np.stack([i.ravel(), j.ravel()], axis=1).astype(float)
+
+
+def with_duplicates(pos):
+    return np.concatenate([pos, pos[::3], pos[:10]])
+
+
+def octagon_edge_points(rng):
+    """A regular octagon, whose corners are the extremes, with 2 000 rows
+    inside, its edge midpoints, where the inscribed circle touches, and the
+    midpoints pushed out by 1e-12, which are hull vertices."""
+    corners = np.exp(1j * np.pi / 4 * np.arange(8))
+    mid = np.exp(1j * np.pi / 4 * (np.arange(8) + 0.5)) * np.cos(np.pi / 8)
+    inside = 0.9 * np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    z = np.concatenate([inside, corners, mid, mid * (1.0 + 1e-12)])
+    return np.stack([z.real, z.imag], axis=1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.random.default_rng(6).normal(size=(5000, 2)),
+        lambda: np.random.default_rng(6).normal(size=(5000, 2)) + [1e6, -1e6],
+        lambda: sliver(5000, 1e5, 0.0, np.random.default_rng(7)),
+        lambda: sliver(5000, 1e5, 0.7, np.random.default_rng(7)),
+        lambda: lattice(60),
+        lambda: with_duplicates(np.random.default_rng(8).normal(size=(2000, 2))),
+        lambda: octagon_edge_points(np.random.default_rng(10)),
+    ],
+    ids=[
+        "gaussian-5000", "gaussian-far", "sliver-1e5", "sliver-1e5-rotated",
+        "lattice-60x60", "duplicates", "octagon-edge-points",
+    ],
+)
+def test_filtered_measure_equals_unfiltered(make):
+    pos = make()
+    assert len(pos) >= HULL_FILTER_MIN_ROWS
+    assert measure(pos) == unfiltered_measure(pos)
+
+
+def test_filtered_measure_equals_unfiltered_on_rotated_disc(rotated_disc):
+    assert measure(rotated_disc) == unfiltered_measure(rotated_disc)
+
+
+@pytest.mark.parametrize(
+    "pos",
+    [
+        np.ones((2000, 2)),
+        np.stack([np.linspace(-1.0, 2.0, 2000), 0.3 * np.linspace(-1.0, 2.0, 2000) + 0.1], axis=1),
+        np.repeat([[0.0, 0.0], [1.0, 2.0]], 1000, axis=0),
+    ],
+    ids=["coincident", "collinear", "two-clusters"],
+)
+def test_degenerate_large_sets_rejected(pos):
+    with pytest.raises(DegenerateGeometryError):
+        measure(pos)
+
+
+def test_non_finite_large_set_rejected():
+    pos = np.random.default_rng(9).normal(size=(2000, 2))
+    pos[1234, 1] = np.nan
+    with pytest.raises(NumericInputError):
+        measure(pos)
+
+
+@pytest.fixture
+def hull_rows(monkeypatch):
+    """Row counts of the arrays handed to Qhull."""
+    rows = []
+    hull = diagnostics.ConvexHull
+
+    def counted(points, *args, **kwargs):
+        rows.append(len(points))
+        return hull(points, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "ConvexHull", counted)
+    return rows
+
+
+def test_small_sets_go_to_qhull_whole(hull_rows):
+    measure(rotate(sample_disc((0.0, 0.0), 1.0, 222), 0.3))
+    assert hull_rows == [222]
+
+
+def test_large_disc_goes_to_qhull_filtered(hull_rows, rotated_disc):
+    measure(rotated_disc)
+    assert len(hull_rows) == 1 and hull_rows[0] < 0.2 * len(rotated_disc)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +143,20 @@ def test_series_rejects_non_finite_dt(dt):
         exp_series_apply(np.zeros((1, 2, 2)), np.ones((1, 2)), dt, 5)
 
 
+@pytest.mark.parametrize(
+    "dt, terms, offset", [(0.05, 200, 0), (0.05, 170, 1), (1e100, 50, 0)],
+    ids=["factorial-offset0", "factorial-offset1", "power"],
+)
+def test_series_coefficient_overflow_is_numeric_input_error(dt, terms, offset):
+    with pytest.raises(NumericInputError, match=re.escape(f"dt={dt!r}, terms={terms}, offset={offset}")):
+        exp_series_apply(np.zeros((1, 2, 2)), np.ones((1, 2)), dt, terms, offset)
+
+
+def test_series_numpy_integer_terms_overflow_is_structural_error():
+    with pytest.raises(StructuralError):
+        exp_series_apply(np.zeros((1, 2, 2)), np.ones((1, 2)), 0.05, np.int64(222))
+
+
 def einsum_series(a, v, dt, terms, offset):
     # the batched mat-vec reference, with the kernel's order of accumulation
     out, w = dt ** (offset + 1) / math.factorial(offset + 1) * v, v
@@ -178,6 +193,19 @@ def test_m4_cached_series_matches_recomputation():
         v_prev, g_prev = v, g
     with pytest.raises(StructuralError):
         advance_history(cloud_of(v[:3], dt=dt), v[:3], g[:3], series)
+
+
+def test_m4_combination_and_series_bits():
+    # v dt + (s_now - s_old) / cloud.dt, formed in place without touching the series
+    rng = np.random.default_rng(7)
+    v_prev, g_prev = rng.normal(size=(50, 2)), rng.normal(size=(50, 2, 2))
+    v, g = rng.normal(size=(50, 2)), rng.normal(size=(50, 2, 2))
+    cloud = cloud_of(v, v_prev, g, g_prev, dt=0.07)
+    disp, series = move_m4(cloud, 0.05)
+    s_now = exp_series_apply(g, v, 0.05, 5, offset=1)
+    s_old = exp_series_apply(g_prev, v_prev, 0.05, 5, offset=1)
+    assert np.array_equal(series.values, s_now)
+    assert np.array_equal(disp, v * 0.05 + (s_now - s_old) / 0.07)
 
 
 @pytest.mark.parametrize(
