@@ -40,15 +40,15 @@ def centroid(positions: np.ndarray) -> np.ndarray:
     return check_points(positions, "positions").mean(axis=0)
 
 
-def hull_candidates(positions: np.ndarray) -> np.ndarray:
-    """Mask of the rows that can be convex-hull vertices (Akl & Toussaint 1978).
+def _hull_candidates(positions: np.ndarray) -> np.ndarray:
+    """The rows that can be convex-hull vertices, in order (Akl & Toussaint 1978).
 
     The argmax and argmin of x, y, x + y and x - y are hull points and, in
     counter-clockwise order, the corners of an octagon inside the hull. A
     row closer to the corners' mean c than the smallest distance r from c
     to an edge line, less a margin against rounding, lies strictly inside
     the octagon, so it is no vertex. When r is not positive (collinear or
-    coincident corners) every row is kept.
+    coincident corners) ``positions`` is returned whole.
     """
     x, y = positions[:, 0], positions[:, 1]
     s, d = x + y, x - y
@@ -61,15 +61,15 @@ def hull_candidates(positions: np.ndarray) -> np.ndarray:
     length = np.hypot(edges[:, 0], edges[:, 1])
     proper = length > 0.0          # repeated corners make zero-length edges
     if not proper.any():
-        return np.ones(len(positions), dtype=bool)
+        return positions
     to_c = c - corners
     cross = edges[:, 0] * to_c[:, 1] - edges[:, 1] * to_c[:, 0]
     size = np.hypot(to_c[:, 0], to_c[:, 1]).max()
     r = (cross[proper] / length[proper]).min() - HULL_FILTER_MARGIN * size
     if not r > 0.0:
-        return np.ones(len(positions), dtype=bool)
+        return positions
     dx, dy = x - c[0], y - c[1]
-    return dx * dx + dy * dy >= r * r
+    return positions[dx * dx + dy * dy >= r * r]
 
 
 def measure(positions: np.ndarray) -> tuple[float, float]:
@@ -78,13 +78,13 @@ def measure(positions: np.ndarray) -> tuple[float, float]:
     The farthest pair of a point set is a pair of hull vertices, so the
     diameter is the maximum pairwise distance over the vertices alone.
     From ``HULL_FILTER_MIN_ROWS`` rows on, Qhull sees only the rows
-    ``hull_candidates`` keeps, in their order: the hull, and so both
-    measures, are those of all rows.
+    ``_hull_candidates`` keeps: the hull, and so both measures, are those
+    of all rows.
     """
     if len(check_points(positions, "positions")) < 3:
         raise DegenerateGeometryError("too few points for a full-dimensional hull")
     if len(positions) >= HULL_FILTER_MIN_ROWS:
-        positions = positions[hull_candidates(positions)]
+        positions = _hull_candidates(positions)
     try:
         hull = ConvexHull(positions)
     except QhullError as exc:
