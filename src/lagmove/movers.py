@@ -82,7 +82,7 @@ def exp_series_apply(
     check_count(terms, "terms", 1)
     if offset not in (0, 1):
         raise StructuralError("offset must be 0 or 1")
-    check_positive(dt, "dt")
+    dt = float(check_positive(dt, "dt"))   # a NumPy scalar's power overflows to inf, a float's raises
     try:
         coeffs = [dt**p / math.factorial(p) for p in range(offset + 1, offset + terms + 1)]
     except OverflowError:

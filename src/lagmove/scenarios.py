@@ -252,12 +252,7 @@ class SweepCell:
     error: str | None = None      # "<type>: <message>" of a failed cell
 
 
-def convergence_sweep(
-    scenario: Scenario,
-    base: RunConfig,
-    dts: list[float],
-    mover_names: tuple[str, ...] = movers.MOVER_NAMES,
-) -> list[SweepCell]:
+def convergence_sweep(scenario: Scenario, base: RunConfig, dts: list[float]) -> list[SweepCell]:
     """Cross product of movers and time steps, sorted by (mover, dt). Every
     dt and its step plan are checked before the first cell runs; a cell
     failing with a package or linear-algebra error while it runs is marked
@@ -265,7 +260,7 @@ def convergence_sweep(
     step builds only the first and final record of each cell."""
     n_full = {dt: plan_steps(scenario.t_end, check_positive(dt, "dt"))[0] for dt in dts}
     cells = []
-    for name in sorted(mover_names):
+    for name in movers.MOVER_NAMES:
         mover = movers.MoverKind(name, base.mover.terms)
         for dt in sorted(dts):
             config = replace(base, mover=mover, dt=dt, output_stride=n_full[dt] + 1)

@@ -1,29 +1,26 @@
 """End-to-end acceptance checks, one test per criterion.
 
 Each test prints a single pass/fail line (visible with pytest -s) in
-addition to its assertions.
+addition to its assertions. Criteria 1, 6, 8 and 10 run the checks of
+``lagmove validate`` under a wall-clock gate.
 """
 import math
 import time
 
 import numpy as np
-import pytest
-from scipy.linalg import expm
 
-from lagmove import cli
+from lagmove import cli, validate
 from lagmove.cloud import make_cloud
-from lagmove.gfdm import all_gradients
-from lagmove.movers import MoverKind, exp_series_apply
-from lagmove.neighbors import brute_force_neighbors, build_index
+from lagmove.movers import MoverKind
 from lagmove.scenarios import (
     RunConfig,
     convergence_sweep,
-    initial_cloud,
     make_scenario,
     plan_steps,
     run,
     step,
 )
+from lagmove.validate import position_history
 
 
 def report(name, ok, detail=""):
@@ -35,31 +32,16 @@ def config(mover, dt, **kw):
     return RunConfig(mover=MoverKind(mover), dt=dt, **kw)
 
 
-def position_history(scenario, cfg, n_steps):
-    cloud = initial_cloud(scenario, cfg)
-    snaps = [cloud.positions]
-    for _ in range(n_steps):
-        cloud = step(cloud, scenario, cfg)
-        snaps.append(cloud.positions)
-    return np.array(snaps)
+def report_check(name, check, gate):
+    """Run a ``validate`` check; it passes if the check does, within ``gate`` seconds."""
+    t0 = time.time()
+    ok, detail = check()
+    elapsed = time.time() - t0
+    report(name, ok and elapsed < gate, f"{detail}, {elapsed:.2f}s")
 
 
 def test_criterion_1_reduction_identities():
-    t0 = time.time()
-    sc = make_scenario("lissajous", t_end=3.0)
-    h1 = position_history(sc, config("m1", 0.05), 60)
-    h3 = position_history(sc, config("m3", 0.05), 60)
-    h2 = position_history(sc, config("m2", 0.05), 60)
-    h4 = position_history(sc, config("m4", 0.05), 60)
-    scale = np.abs(h1).max()
-    d31 = np.abs(h3 - h1).max() / scale
-    d42 = np.abs(h4 - h2).max() / scale
-    elapsed = time.time() - t0
-    report(
-        "criterion 1 (reduction identities)",
-        d31 <= 1e-13 and d42 <= 1e-13 and elapsed < 1.0,
-        f"m3-m1 {d31:.2e}, m4-m2 {d42:.2e}, {elapsed:.2f}s",
-    )
+    report_check("criterion 1 (reduction identities)", validate.check_reduction_identities, 1.0)
 
 
 def test_criterion_2_m1_radius_growth():
@@ -146,25 +128,7 @@ def test_criterion_5_convergence_orders():
 
 
 def test_criterion_6_wlsq_exactness():
-    t0 = time.time()
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    h = 0.55  # tuned so each of 200 uniform points in [-1,1]^2 has >= 6 neighbors
-    for _ in range(50):
-        pos = rng.uniform(-1.0, 1.0, size=(200, 2))
-        a = rng.normal(size=(2, 2))
-        b = rng.normal(size=2)
-        vel = pos @ a.T + b
-        index = build_index(pos, h)
-        assert index.neighbor_count().min() >= 6
-        fitted = all_gradients(pos, vel, index, h, zero_fallback=False)
-        worst = max(worst, np.abs(fitted - a).max())
-    elapsed = time.time() - t0
-    report(
-        "criterion 6 (WLSQ exactness on linear fields)",
-        worst <= 1e-10 and elapsed < 5.0,
-        f"worst error {worst:.2e}, {elapsed:.2f}s",
-    )
+    report_check("criterion 6 (WLSQ exactness on linear fields)", validate.check_wlsq_exactness, 5.0)
 
 
 def test_criterion_7_numeric_vs_analytic_gradients():
@@ -182,31 +146,7 @@ def test_criterion_7_numeric_vs_analytic_gradients():
 
 
 def test_criterion_8_series_oracle():
-    t0 = time.time()
-    rng = np.random.default_rng(8)
-    ok = True
-    for _ in range(1000):
-        a = rng.normal(size=(2, 2))
-        norm_a = np.linalg.norm(a, 2)
-        if norm_a > 2.0:
-            a *= 2.0 / norm_a
-            norm_a = 2.0
-        v = rng.normal(size=2)
-        dt = rng.uniform(0.0, 0.2)
-        k5 = exp_series_apply(a[None], v[None], dt, 5)[0]
-        k20 = exp_series_apply(a[None], v[None], dt, 20)[0]
-        # term-wise bound on the omitted terms: ||A||^k dt^(k+1) / (k+1)! ||v||
-        tail = np.linalg.norm(v) * sum(
-            norm_a**k * dt ** (k + 1) / math.factorial(k + 1) for k in range(5, 40)
-        )
-        ok &= np.linalg.norm(k5 - k20) <= tail + 1e-16
-        aug = np.zeros((3, 3))
-        aug[:2, :2] = a * dt
-        aug[:2, 2] = v * dt
-        ref = expm(aug)[:2, 2]
-        ok &= np.linalg.norm(k20 - ref) <= 1e-12 * max(np.linalg.norm(ref), 1e-30)
-    elapsed = time.time() - t0
-    report("criterion 8 (series tail bound and expm oracle)", ok and elapsed < 2.0, f"{elapsed:.2f}s")
+    report_check("criterion 8 (series tail bound and expm oracle)", validate.check_series_oracle, 2.0)
 
 
 def test_criterion_9_unsteady_flow_ordering():
@@ -252,16 +192,7 @@ def test_criterion_9_unsteady_flow_ordering():
 
 
 def test_criterion_10_neighbor_oracle():
-    t0 = time.time()
-    ok = True
-    for trial in range(50):
-        rng = np.random.default_rng(1000 + trial)
-        pos = rng.uniform(0.0, 1.0, size=(300, 2))
-        index = build_index(pos, 0.1)
-        brute = brute_force_neighbors(pos, 0.1)
-        ok &= all(np.array_equal(a, b) for a, b in zip(index.lists, brute))
-    elapsed = time.time() - t0
-    report("criterion 10 (neighbor search oracle)", ok and elapsed < 2.0, f"{elapsed:.2f}s")
+    report_check("criterion 10 (neighbor search oracle)", validate.check_neighbor_oracle, 2.0)
 
 
 def test_criterion_11_csv_determinism(tmp_path):

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lagmove import cli, scenarios
+from lagmove import cli, gfdm, movers, neighbors, scenarios, validate
 from lagmove.diagnostics import DiagnosticsRecord
+from lagmove.fields import RigidRotation
 
 
 def record(step=0, time=0.0):
@@ -139,8 +141,6 @@ def test_validate_subcommand_passes(capsys):
 
 
 def test_validate_detects_corrupted_series(monkeypatch, capsys):
-    from lagmove import movers
-
     original = movers.exp_series_apply
 
     def corrupted(grad, v, dt, terms, offset=0):
@@ -149,6 +149,37 @@ def test_validate_detects_corrupted_series(monkeypatch, capsys):
     monkeypatch.setattr(movers, "exp_series_apply", corrupted)
     assert cli.main(["validate"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def dropping_first_pair(build_index):
+    def faulty(positions, radius):
+        index = build_index(positions, radius)
+        return replace(index, pairs=index.pairs[1:])
+    return faulty
+
+
+def scaled_by(factor):
+    return lambda original: lambda *args, **kwargs: original(*args, **kwargs) * factor
+
+
+# check -> (owner, attribute, fault wrapped around the attribute); the
+# finite-difference check resolves 1e-6, so its planted fault is 1e-5
+PLANTED_FAULTS = {
+    "neighbor-search-vs-brute-force": (neighbors, "build_index", dropping_first_pair),
+    "wlsq-linear-exactness": (gfdm, "all_gradients", scaled_by(1 + 1e-9)),
+    "reduction-identities": (movers, "move_m3", scaled_by(1 + 1e-9)),
+    "field-gradients-vs-finite-differences": (RigidRotation, "gradient", scaled_by(1 + 1e-5)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(PLANTED_FAULTS))
+def test_validate_detects_planted_fault(check, monkeypatch, capsys):
+    owner, attribute, fault = PLANTED_FAULTS[check]
+    monkeypatch.setattr(owner, attribute, fault(getattr(owner, attribute)))
+    ok, detail = dict(validate.ALL_CHECKS)[check]()
+    assert not ok, detail
+    assert cli.main(["validate"]) == 3
+    assert f"FAIL  {check}: {detail}" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,17 @@ gradient mode at t_end = 2.0 and dt = 0.03, so the shortened final step
 runs. ``golden_large.json`` holds the final record of the m4 modulated
 rotation at t_end = 1.0 and dt = 0.05 with many points: 20 000 with exact
 gradients and 2 000 with WLSQ gradients. A change meant to keep results
-must reproduce them to rounding. Regenerate only when results are meant
-to change:
+must reproduce them to rounding. Regenerate only the cases whose results
+are meant to change, by name; every other entry keeps its bytes:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py rotation-m3-analytic ...
+
+With no case name, or with a name that is not a case, it writes nothing
+and exits 2.
 """
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -76,8 +80,42 @@ def test_large_final_state_matches_golden(case, golden_large):
     assert_matches(final_state(*LARGE_CASES[case]), golden_large[case])
 
 
+def regenerate(names):
+    """Rewrite the entries of the named cases in place; 0, or 2 without a write."""
+    unknown = [n for n in names if n not in CASES and n not in LARGE_CASES]
+    if not names or unknown:
+        print(f"unknown case(s) {unknown}" if unknown else "name the cases to regenerate", file=sys.stderr)
+        return 2
+    files = ((GOLDEN, CASES, lambda c: c.rsplit("-", 2)), (GOLDEN_LARGE, LARGE_CASES, LARGE_CASES.get))
+    for path, cases, args in files:
+        chosen = [n for n in names if n in cases]
+        if chosen:
+            data = json.loads(path.read_text())
+            data.update({n: final_state(*args(n)) for n in chosen})
+            path.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
+
+
+def test_regenerating_one_case_rewrites_only_its_entry(tmp_path, monkeypatch, golden):
+    # two stale entries; regenerating one must leave the other's bytes alone
+    case, stale = "lissajous-m1-analytic", "rotation-m1-analytic"
+    planted = json.loads(GOLDEN.read_text())
+    planted[case]["eps_x"] = planted[stale]["eps_x"] = -1.0
+    final, large = tmp_path / GOLDEN.name, tmp_path / GOLDEN_LARGE.name
+    final.write_text(json.dumps(planted, indent=1) + "\n")
+    large.write_bytes(GOLDEN_LARGE.read_bytes())
+    monkeypatch.setitem(globals(), "GOLDEN", final)
+    monkeypatch.setitem(globals(), "GOLDEN_LARGE", large)
+    files = final.read_bytes(), large.read_bytes()
+    assert regenerate([]) == regenerate([case, "no-such-case"]) == 2
+    assert (final.read_bytes(), large.read_bytes()) == files
+
+    assert regenerate([case]) == 0
+    got = json.loads(final.read_text())
+    assert_matches(got[case], golden[case])
+    assert final.read_text() == json.dumps({**planted, case: got[case]}, indent=1) + "\n"
+    assert large.read_bytes() == files[1]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({c: final_state(*c.rsplit("-", 2)) for c in CASES}, indent=1) + "\n")
-    GOLDEN_LARGE.write_text(
-        json.dumps({c: final_state(*args) for c, args in LARGE_CASES.items()}, indent=1) + "\n"
-    )
+    sys.exit(regenerate(sys.argv[1:]))

@@ -144,11 +144,13 @@ def test_series_rejects_non_finite_dt(dt):
 
 
 @pytest.mark.parametrize(
-    "dt, terms, offset", [(0.05, 200, 0), (0.05, 170, 1), (1e100, 50, 0)],
-    ids=["factorial-offset0", "factorial-offset1", "power"],
+    "dt, terms, offset",
+    [(0.05, 200, 0), (0.05, 170, 1), (1e100, 50, 0), (np.float64(1e100), 50, 0), (np.float32(1e30), 50, 0)],
+    ids=["factorial-offset0", "factorial-offset1", "power", "power-float64", "power-float32"],
 )
 def test_series_coefficient_overflow_is_numeric_input_error(dt, terms, offset):
-    with pytest.raises(NumericInputError, match=re.escape(f"dt={dt!r}, terms={terms}, offset={offset}")):
+    match = re.escape(f"dt={float(dt)!r}, terms={terms}, offset={offset}")
+    with pytest.raises(NumericInputError, match=match):
         exp_series_apply(np.zeros((1, 2, 2)), np.ones((1, 2)), dt, terms, offset)
 
 

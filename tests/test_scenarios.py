@@ -29,6 +29,7 @@ from lagmove.scenarios import (
     sample_disc,
     step,
 )
+from lagmove.validate import position_history
 
 
 def config(mover="m1", dt=0.05, **kw):
@@ -163,32 +164,14 @@ def test_single_step_composition():
 
 def test_lissajous_m3_equals_m1_history():
     sc = make_scenario("lissajous")
-    hist = {}
-    for m in ("m1", "m3"):
-        cfg = config(m, dt=0.05)
-        cloud = initial_cloud(sc, cfg)
-        snaps = [cloud.positions]
-        for _ in range(60):
-            cloud = step(cloud, sc, cfg)
-            snaps.append(cloud.positions)
-        hist[m] = np.array(snaps)
-    scale = np.abs(hist["m1"]).max()
-    assert np.abs(hist["m3"] - hist["m1"]).max() <= 1e-13 * scale
+    h1, h3 = (position_history(sc, config(m, dt=0.05), 60) for m in ("m1", "m3"))
+    assert np.abs(h3 - h1).max() <= 1e-13 * np.abs(h1).max()
 
 
 def test_lissajous_m4_equals_m2_history():
     sc = make_scenario("lissajous")
-    hist = {}
-    for m in ("m2", "m4"):
-        cfg = config(m, dt=0.05)
-        cloud = initial_cloud(sc, cfg)
-        snaps = [cloud.positions]
-        for _ in range(60):
-            cloud = step(cloud, sc, cfg)
-            snaps.append(cloud.positions)
-        hist[m] = np.array(snaps)
-    scale = np.abs(hist["m2"]).max()
-    assert np.abs(hist["m4"] - hist["m2"]).max() <= 1e-13 * scale
+    h2, h4 = (position_history(sc, config(m, dt=0.05), 60) for m in ("m2", "m4"))
+    assert np.abs(h4 - h2).max() <= 1e-13 * np.abs(h2).max()
 
 
 def test_run_final_time_and_payload():
