@@ -5,7 +5,7 @@ Four integrators for advecting a point cloud through a velocity field
 velocity-gradient reconstruction, a KD-tree neighbor search, and
 conservation/trajectory diagnostics.
 """
-from .cloud import LevelSeries, PointCloud, advance_history, apply_displacements, make_cloud
+from .cloud import LevelSeries, PointCloud, advance_history, make_cloud
 from .diagnostics import DiagnosticsRecord, centroid, eps_volume, measure
 from .fields import (
     LinearField,

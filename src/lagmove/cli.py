@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import scenarios, validate
 from .diagnostics import DiagnosticsRecord
 from .errors import LagmoveError, StructuralError
@@ -169,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (LagmoveError, np.linalg.LinAlgError, OSError) as exc:
+    except (LagmoveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,14 +3,16 @@
 Storage is structure-of-arrays: one (N, 2) array per per-point field,
 row i of each belonging to point i. Operations return new clouds; arrays
 of the input are never mutated. The cloud is the one state of a step:
-``scenarios`` drives it and the movers read their inputs from it. Each
-array is checked once, where it is installed (``make_cloud``,
-``advance_history``, ``apply_displacements``), so its readers trust it.
+``scenarios`` drives it and the movers read their inputs from it. A step
+builds its next cloud once, with ``advance_history``: the moved positions
+and the velocity level sampled there. Each array is checked once, where it
+enters (``make_cloud``, ``advance_history``), so its readers trust it.
 
 Besides the two velocity levels the cloud carries ``series_prev``, the m4
-mover's series of the previous level. The mover returns it for the
-current level, and ``advance_history`` shifts it into place with the
-velocities, so the next m4 step need not compute it again.
+mover's series of the previous level, tagged with its dt and term count.
+The mover returns it for the current level, and ``advance_history`` shifts
+it into place with the velocities, so the next m4 step of the same dt need
+not compute it again.
 """
 from __future__ import annotations
 
@@ -38,7 +40,6 @@ class PointCloud:
     velocities_prev: np.ndarray       # (N, 2), previous level
     grad_velocities: np.ndarray       # (N, 2, 2), current level
     grad_velocities_prev: np.ndarray  # (N, 2, 2), previous level
-    smoothing_length: float
     dt: float                         # regular step: the spacing of the two levels
     initial_time: float = 0.0
     step: int = 0
@@ -60,7 +61,6 @@ class PointCloud:
             check_points(getattr(self, name), name, n)
         for name in ("grad_velocities", "grad_velocities_prev"):
             check_points(getattr(self, name), name, n, gradient=True)
-        check_positive(self.smoothing_length, "smoothing_length")
         check_positive(self.dt, "dt")
 
 
@@ -69,7 +69,6 @@ def make_cloud(
     velocities: np.ndarray,
     grad_velocities: np.ndarray,
     *,
-    smoothing_length: float,
     dt: float,
 ) -> PointCloud:
     """Build a fresh step-0 cloud (no history yet)."""
@@ -82,7 +81,6 @@ def make_cloud(
         velocities_prev=np.zeros_like(velocities),
         grad_velocities=grad_velocities,
         grad_velocities_prev=np.zeros_like(grad_velocities),
-        smoothing_length=smoothing_length,
         dt=dt,
     )
     cloud.validate()
@@ -91,17 +89,20 @@ def make_cloud(
 
 def advance_history(
     cloud: PointCloud,
+    new_positions: np.ndarray,
     new_velocities: np.ndarray,
     new_gradients: np.ndarray,
     series: LevelSeries | None = None,
 ) -> PointCloud:
-    """Shift the current velocity/gradient into history and install the new level.
+    """The next cloud: the moved positions, and the velocity level sampled there.
 
-    ``series`` is the m4 series of the level being shifted out (the mover's
-    current-level series); it becomes ``series_prev``, and None drops it.
-    Increments the step counter; time follows from it.
+    The current velocity/gradient shift into history. ``series`` is the m4
+    series of the level being shifted out (the mover's current-level
+    series); it becomes ``series_prev``, and None drops it. Increments the
+    step counter; time follows from it.
     """
     n = len(cloud.positions)
+    new_positions = check_points(np.asarray(new_positions, dtype=float), "new_positions", n)
     new_velocities = check_points(np.asarray(new_velocities, dtype=float), "new_velocities", n)
     new_gradients = check_points(
         np.asarray(new_gradients, dtype=float), "new_gradients", n, gradient=True
@@ -110,6 +111,7 @@ def advance_history(
         check_points(series.values, "series", n, finite=False)
     return replace(
         cloud,
+        positions=new_positions,
         velocities=new_velocities,
         velocities_prev=cloud.velocities,
         grad_velocities=new_gradients,
@@ -117,11 +119,3 @@ def advance_history(
         series_prev=series,
         step=cloud.step + 1,
     )
-
-
-def apply_displacements(cloud: PointCloud, displacements: np.ndarray) -> PointCloud:
-    """Move every point by its displacement; nothing else changes."""
-    displacements = check_points(
-        np.asarray(displacements, dtype=float), "displacements", len(cloud.positions)
-    )
-    return replace(cloud, positions=cloud.positions + displacements)

@@ -88,7 +88,9 @@ def measure(positions: np.ndarray) -> tuple[float, float]:
     try:
         hull = ConvexHull(positions)
     except QhullError as exc:
-        raise DegenerateGeometryError(f"degenerate point set: {exc}") from exc
+        # Qhull's first line names the fault; the rest dumps its options and input
+        fault = str(exc).partition("\n")[0]
+        raise DegenerateGeometryError(f"degenerate point set: {fault}") from exc
     return float(pdist(positions[hull.vertices]).max()), float(hull.volume)
 
 

@@ -8,7 +8,7 @@ Exact gradients separate integrator error from reconstruction error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class RigidRotation:
 
     center: tuple[float, float] = (0.0, 0.0)
     omega: float = 1.0
-    name: str = field(default="rigid-rotation", init=False)
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
@@ -47,8 +46,6 @@ class RigidRotation:
 @dataclass(frozen=True)
 class Lissajous:
     """Spatially constant, time dependent: v(t) = (15 cos(5t + pi/2), 4 cos(4t))."""
-
-    name: str = field(default="lissajous", init=False)
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
@@ -75,7 +72,6 @@ class LinearField:
 
     A: tuple[tuple[float, ...], ...]
     b: tuple[float, ...]
-    name: str = field(default="linear", init=False)
 
     def __post_init__(self):
         try:
@@ -113,7 +109,6 @@ class ModulatedRotation:
     center: tuple[float, float] = (0.0, 0.0)
     omega0: float = 1.0
     modulation_freq: float = 0.5
-    name: str = field(default="modulated-rotation", init=False)
 
     def rate(self, t: float) -> float:
         return self.omega0 * (1.0 + 0.5 * np.sin(2.0 * np.pi * self.modulation_freq * t))

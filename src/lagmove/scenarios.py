@@ -5,12 +5,12 @@ the paper's size ``PAPER_N`` and its default t_end; ``make_scenario`` sets
 the size and, when given, the t_end. Point counts and output strides are
 checked by ``errors.check_count``.
 
-A step does, in order: read the current-level gradient (analytic from the
-field, or WLSQ-reconstructed from neighbor velocities), displace points
-with the configured scheme, sample the field at the new positions and
-time, and shift the history. Movement always happens before the velocity
-update. The ``PointCloud`` is the one state of a step: the movers read it,
-the other kernels take arrays.
+A step does, in order: displace points with the configured scheme, sample
+the field (and its gradient, analytic or WLSQ-reconstructed from neighbor
+velocities) at the new positions and time, and install both as the next
+cloud. Movement always happens before the velocity update. The
+``PointCloud`` is the one state of a step: the movers read it, the other
+kernels take arrays.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics, gfdm, movers, neighbors
-from .cloud import PointCloud, advance_history, apply_displacements, make_cloud
+from .cloud import PointCloud, advance_history, make_cloud
 from .errors import LagmoveError, StructuralError, check_count, check_positive
 from .fields import (
     Lissajous,
@@ -35,6 +35,7 @@ GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _TIME_EPS = 1e-12
 MAX_STEPS = 10**7  # longest plan accepted; the paper's finest sweep takes 1 257 steps
 PAPER_N = 222  # the paper's disc size
+MIN_POINTS = 4  # fewest points sample_disc lays out off one line; 3 are collinear
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class Scenario:
     exact_center_offset: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
-        check_count(self.n_points, "n_points", 3)
+        check_count(self.n_points, "n_points", MIN_POINTS)
         check_positive(self.disc_radius, "disc radius")
         check_positive(self.t_end, "t_end")
 
@@ -82,7 +83,7 @@ def sample_disc(center: tuple[float, float], radius: float, n: int) -> np.ndarra
     the sampled diameter is exactly 2 r, via antipodal pairs); the interior
     follows the golden-angle sunflower layout.
     """
-    check_count(n, "n", 3)
+    check_count(n, "n", MIN_POINTS)
     check_positive(radius, "radius")
     n_boundary = 2 * int(round(np.sqrt(n)))
     n_boundary = min(n_boundary, n if n % 2 == 0 else n - 1)
@@ -140,12 +141,13 @@ def make_scenario(name: str, n: int = PAPER_N, t_end: float | None = None) -> Sc
     return replace(scenario, n_points=n, t_end=scenario.t_end if t_end is None else t_end)
 
 
-def _field_state(scenario: Scenario, config: RunConfig, positions, t, h):
-    """Velocity and current-level gradient at given positions and time (h: WLSQ smoothing)."""
+def _field_state(scenario: Scenario, config: RunConfig, positions, t):
+    """Velocity and current-level gradient at given positions and time."""
     v = scenario.field.evaluate(positions, t)
     if config.gradient_mode == "analytic":
         g = scenario.field.gradient(positions, t)
     else:
+        h = scenario.smoothing_length
         index = neighbors.build_index(positions, h)
         g = gfdm.all_gradients(positions, v, index, h)
     return v, g
@@ -153,9 +155,8 @@ def _field_state(scenario: Scenario, config: RunConfig, positions, t, h):
 
 def initial_cloud(scenario: Scenario, config: RunConfig) -> PointCloud:
     positions = sample_disc(scenario.disc_center, scenario.disc_radius, scenario.n_points)
-    h = scenario.smoothing_length
-    v, g = _field_state(scenario, config, positions, 0.0, h)
-    return make_cloud(positions, v, g, smoothing_length=h, dt=config.dt)
+    v, g = _field_state(scenario, config, positions, 0.0)
+    return make_cloud(positions, v, g, dt=config.dt)
 
 
 def step(
@@ -163,23 +164,25 @@ def step(
 ) -> PointCloud:
     """Advance one step; ``movers.displacement`` picks the first step's scheme.
 
-    A given ``dt`` is a shortened step that lands exactly on ``time + dt``:
-    backward differences inside the movers keep the regular spacing, only
-    the integration interval shrinks, and the returned cloud keeps the
-    original dt and step numbering, with its clock pinned to the landing time.
-    The m4 series the mover returns is kept for the next step, except after
-    a shortened step, whose series belongs to another dt.
+    The points move once, the field is sampled at the moved positions, and
+    ``advance_history`` builds the next cloud from both. A given ``dt`` is a
+    shortened step that lands exactly on ``time + dt``: backward differences
+    inside the movers keep the regular spacing, only the integration
+    interval shrinks, and the returned cloud keeps the original dt and step
+    numbering, with its clock pinned to the landing time. The m4 series the
+    mover returns is kept for the next step; its (dt, terms) tag keeps a
+    shortened step's series from being read by a step of another dt.
     """
     disp, series = movers.displacement(config.mover, cloud, dt)
-    moved = apply_displacements(cloud, disp)
+    positions = cloud.positions + disp
     if dt is None:
-        t_new = moved.initial_time + (moved.step + 1) * moved.dt
+        t_new = cloud.initial_time + (cloud.step + 1) * cloud.dt
     else:
         t_new = cloud.time + dt
-    v_new, g_new = _field_state(scenario, config, moved.positions, t_new, moved.smoothing_length)
+    v_new, g_new = _field_state(scenario, config, positions, t_new)
+    out = advance_history(cloud, positions, v_new, g_new, series)
     if dt is None:
-        return advance_history(moved, v_new, g_new, series)
-    out = advance_history(moved, v_new, g_new)
+        return out
     return replace(out, initial_time=t_new - out.step * out.dt)
 
 
@@ -255,9 +258,9 @@ class SweepCell:
 def convergence_sweep(scenario: Scenario, base: RunConfig, dts: list[float]) -> list[SweepCell]:
     """Cross product of movers and time steps, sorted by (mover, dt). Every
     dt and its step plan are checked before the first cell runs; a cell
-    failing with a package or linear-algebra error while it runs is marked
-    with the reason and the sweep continues. A stride past the last full
-    step builds only the first and final record of each cell."""
+    failing with a package error while it runs is marked with the reason
+    and the sweep continues. A stride past the last full step builds only
+    the first and final record of each cell."""
     n_full = {dt: plan_steps(scenario.t_end, check_positive(dt, "dt"))[0] for dt in dts}
     cells = []
     for name in movers.MOVER_NAMES:
@@ -267,7 +270,7 @@ def convergence_sweep(scenario: Scenario, base: RunConfig, dts: list[float]) -> 
             try:
                 final = run(scenario, config)[-1]
                 cells.append(SweepCell(name, dt, final.eps_dia, final.eps_x, final.eps_V))
-            except (LagmoveError, np.linalg.LinAlgError) as exc:
+            except LagmoveError as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 cells.append(SweepCell(name, dt, np.nan, np.nan, np.nan, failed=True, error=error))
     return cells

@@ -54,7 +54,6 @@ def test_criterion_2_m1_radius_growth():
         pos,
         sc.field.evaluate(pos, 0.0),
         sc.field.gradient(pos, 0.0),
-        smoothing_length=0.3,
         dt=dt,
     )
     n_full, rem = plan_steps(t_end, dt)

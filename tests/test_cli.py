@@ -163,12 +163,12 @@ def scaled_by(factor):
 
 
 # check -> (owner, attribute, fault wrapped around the attribute); the
-# finite-difference check resolves 1e-6, so its planted fault is 1e-5
+# finite-difference check resolves 1e-8, so its planted fault is 1e-7
 PLANTED_FAULTS = {
     "neighbor-search-vs-brute-force": (neighbors, "build_index", dropping_first_pair),
     "wlsq-linear-exactness": (gfdm, "all_gradients", scaled_by(1 + 1e-9)),
     "reduction-identities": (movers, "move_m3", scaled_by(1 + 1e-9)),
-    "field-gradients-vs-finite-differences": (RigidRotation, "gradient", scaled_by(1 + 1e-5)),
+    "field-gradients-vs-finite-differences": (RigidRotation, "gradient", scaled_by(1 + 1e-7)),
 }
 
 
@@ -210,6 +210,14 @@ def test_run_series_coefficient_overflow_is_runtime_error(flags, message, capsys
     assert cli.main(["run"] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: series coefficient") and message in err
+
+
+def test_run_smallest_disc(capsys):
+    # three points of the disc layout are collinear: one line, not a Qhull dump
+    assert cli.main(["run", "--n-points", "4", "--dt", "0.1", "--t-end", "0.2"]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", "--n-points", "3", "--dt", "0.1", "--t-end", "0.2"]) == 2
+    assert capsys.readouterr().err == "error: n_points must be >= 4, got 3\n"
 
 
 def test_deleted_neighbor_radius_flag_is_a_usage_error(capsys):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lagmove.cloud import LevelSeries, advance_history, apply_displacements, make_cloud
+from lagmove.cloud import LevelSeries, advance_history, make_cloud
 from lagmove.errors import NumericInputError, StructuralError
 
 
@@ -12,14 +12,12 @@ def small_cloud(n=3, d=2):
     pos = rng.normal(size=(n, d))
     vel = rng.normal(size=(n, d))
     grad = rng.normal(size=(n, d, d))
-    return make_cloud(pos, vel, grad, smoothing_length=0.5, dt=0.1)
+    return make_cloud(pos, vel, grad, dt=0.1)
 
 
 def test_advance_shifts_history():
-    cloud = make_cloud(
-        [[0.0, 0.0]], [[1.0, 0.0]], np.zeros((1, 2, 2)), smoothing_length=1.0, dt=0.1
-    )
-    out = advance_history(cloud, [[2.0, 0.0]], np.zeros((1, 2, 2)))
+    cloud = make_cloud([[0.0, 0.0]], [[1.0, 0.0]], np.zeros((1, 2, 2)), dt=0.1)
+    out = advance_history(cloud, cloud.positions, [[2.0, 0.0]], np.zeros((1, 2, 2)))
     assert np.array_equal(out.velocities_prev, [[1.0, 0.0]])
     assert np.array_equal(out.velocities, [[2.0, 0.0]])
     assert out.step == cloud.step + 1
@@ -28,10 +26,10 @@ def test_advance_shifts_history():
 def test_advance_sets_history_flag():
     cloud = small_cloud()
     assert not cloud.has_history
-    out = advance_history(cloud, cloud.velocities, cloud.grad_velocities)
+    out = advance_history(cloud, cloud.positions, cloud.velocities, cloud.grad_velocities)
     assert out.has_history
     # monotone: stays true
-    out2 = advance_history(out, out.velocities, out.grad_velocities)
+    out2 = advance_history(out, out.positions, out.velocities, out.grad_velocities)
     assert out2.has_history
 
 
@@ -39,9 +37,9 @@ def test_advance_rejects_series_of_another_size():
     cloud = small_cloud()
     series = LevelSeries(np.zeros((2, 2)), cloud.dt, 5)
     with pytest.raises(StructuralError):
-        advance_history(cloud, cloud.velocities, cloud.grad_velocities, series)
+        advance_history(cloud, cloud.positions, cloud.velocities, cloud.grad_velocities, series)
     kept = LevelSeries(np.zeros((3, 2)), cloud.dt, 5)
-    assert advance_history(cloud, cloud.velocities, cloud.grad_velocities, kept).series_prev is kept
+    assert advance_history(cloud, cloud.positions, cloud.velocities, cloud.grad_velocities, kept).series_prev is kept
 
 
 @pytest.mark.parametrize(
@@ -60,47 +58,59 @@ def test_validate_rejects_misshapen_previous_level(name, shape):
 def test_time_is_recomputed_from_step():
     cloud = small_cloud()
     for _ in range(1000):
-        cloud = advance_history(cloud, cloud.velocities, cloud.grad_velocities)
+        cloud = advance_history(cloud, cloud.positions, cloud.velocities, cloud.grad_velocities)
     assert cloud.time == 1000 * 0.1
 
 
-def test_apply_displacements_values():
-    cloud = make_cloud(
-        [[1.0, 2.0]], [[0.0, 0.0]], np.zeros((1, 2, 2)), smoothing_length=1.0, dt=0.1
-    )
-    out = apply_displacements(cloud, [[0.1, -0.1]])
-    assert np.allclose(out.positions, [[1.1, 1.9]])
+def test_advance_installs_positions():
+    cloud = make_cloud([[1.0, 2.0]], [[0.0, 0.0]], np.zeros((1, 2, 2)), dt=0.1)
+    out = advance_history(cloud, [[1.1, 1.9]], cloud.velocities, cloud.grad_velocities)
+    assert np.array_equal(out.positions, [[1.1, 1.9]])
+    assert np.array_equal(cloud.positions, [[1.0, 2.0]])
 
 
 def test_zero_displacement_is_identity():
     cloud = small_cloud()
-    out = apply_displacements(cloud, np.zeros_like(cloud.positions))
+    out = advance_history(
+        cloud, cloud.positions + np.zeros_like(cloud.positions), cloud.velocities, cloud.grad_velocities
+    )
     assert np.array_equal(out.positions, cloud.positions)
 
 
 def test_ids_and_order_preserved():
-    # a point's id is its row: each displacement lands on its own row
+    # a point's id is its row: each new position and velocity lands on its own row
     cloud = small_cloud(n=222)
     disp = np.arange(444.0).reshape(222, 2)
-    out = apply_displacements(cloud, disp)
+    out = advance_history(cloud, cloud.positions + disp, cloud.velocities + disp, cloud.grad_velocities)
     assert np.array_equal(out.positions, cloud.positions + disp)
-    assert np.array_equal(out.velocities, cloud.velocities)
+    assert np.array_equal(out.velocities, cloud.velocities + disp)
+    assert np.array_equal(out.velocities_prev, cloud.velocities)
 
 
 def test_length_mismatch_rejected():
     cloud = small_cloud()
     with pytest.raises(StructuralError):
-        apply_displacements(cloud, np.zeros((2, 2)))
+        advance_history(cloud, np.zeros((2, 2)), cloud.velocities, cloud.grad_velocities)
     with pytest.raises(StructuralError):
-        advance_history(cloud, np.zeros((5, 2)), np.zeros((5, 2, 2)))
+        advance_history(cloud, cloud.positions, np.zeros((5, 2)), np.zeros((5, 2, 2)))
+
+
+@pytest.mark.parametrize(
+    "shape", [(3,), (3, 2, 2), (3, 3)], ids=["1d", "gradient-shaped", "three-columns"]
+)
+def test_advance_rejects_misshapen_positions(shape):
+    cloud = small_cloud()
+    with pytest.raises(StructuralError):
+        advance_history(cloud, np.zeros(shape), cloud.velocities, cloud.grad_velocities)
 
 
 def test_non_finite_rejected():
     cloud = small_cloud()
-    bad = np.zeros_like(cloud.positions)
-    bad[0, 0] = np.nan
-    with pytest.raises(NumericInputError):
-        apply_displacements(cloud, bad)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = cloud.positions.copy()
+        bad[0, 0] = value
+        with pytest.raises(NumericInputError):
+            advance_history(cloud, bad, cloud.velocities, cloud.grad_velocities)
 
 
 @pytest.mark.parametrize("field", ["positions", "velocities", "grad_velocities"])
@@ -113,20 +123,19 @@ def test_make_cloud_rejects_non_finite(field, value):
     }
     arrays[field][1, 0] = value
     with pytest.raises(NumericInputError):
-        make_cloud(**arrays, smoothing_length=0.5, dt=0.1)
+        make_cloud(**arrays, dt=0.1)
 
 
-@pytest.mark.parametrize("field", ["smoothing_length", "dt"])
+@pytest.mark.parametrize("field", ["dt"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_make_cloud_rejects_non_finite_scalars(field, value):
-    scalars = {"smoothing_length": 0.5, "dt": 0.1, field: value}
     with pytest.raises(NumericInputError):
-        make_cloud(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2, 2)), **scalars)
+        make_cloud(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2, 2)), **{field: value})
 
 
 def test_make_cloud_rejects_1d_positions():
     with pytest.raises(StructuralError):
-        make_cloud(np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2, 2)), smoothing_length=0.5, dt=0.1)
+        make_cloud(np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2, 2)), dt=0.1)
 
 
 def test_per_point_locality_commutes_with_permutation():
@@ -137,7 +146,7 @@ def test_per_point_locality_commutes_with_permutation():
     newg = rng.normal(size=(10, 2, 2))
     perm = rng.permutation(10)
 
-    direct = apply_displacements(advance_history(cloud, newv, newg), disp)
+    direct = advance_history(cloud, cloud.positions + disp, newv, newg)
 
     permuted = replace(
         cloud,
@@ -147,6 +156,6 @@ def test_per_point_locality_commutes_with_permutation():
         grad_velocities=cloud.grad_velocities[perm],
         grad_velocities_prev=cloud.grad_velocities_prev[perm],
     )
-    via_perm = apply_displacements(advance_history(permuted, newv[perm], newg[perm]), disp[perm])
+    via_perm = advance_history(permuted, permuted.positions + disp[perm], newv[perm], newg[perm])
     assert np.array_equal(via_perm.positions, direct.positions[perm])
     assert np.array_equal(via_perm.velocities, direct.velocities[perm])

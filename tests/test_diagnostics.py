@@ -110,6 +110,14 @@ def test_hull_volume_degenerate_rejected():
         hull_volume(points([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
 
 
+def test_degenerate_message_is_qhull_first_line():
+    # Qhull's message goes on to dump its options and input, dozens of lines
+    with pytest.raises(DegenerateGeometryError) as info:
+        measure(points([[-1.0, 0.0], [1.0, 0.0], [0.58, 0.0]]))
+    assert "\n" not in str(info.value)
+    assert str(info.value).startswith("degenerate point set: QH")
+
+
 def test_metrics_invariant_under_reordering():
     rng = np.random.default_rng(5)
     pos = rng.normal(size=(40, 2))

@@ -25,7 +25,7 @@ def test_input_errors_are_structural():
 _rng = np.random.default_rng(0)
 POS, VEL, GRAD = _rng.normal(size=(8, 3)), _rng.normal(size=(8, 3)), _rng.normal(size=(8, 3, 3))
 THREE_COLUMN_CALLS = {
-    "make_cloud": lambda: make_cloud(POS, VEL, GRAD, smoothing_length=0.5, dt=0.1),
+    "make_cloud": lambda: make_cloud(POS, VEL, GRAD, dt=0.1),
     "build_index": lambda: build_index(POS, 0.5),
     "all_gradients": lambda: all_gradients(POS, VEL, build_index(POS[:, :2], 0.5), 0.5),
     "measure": lambda: measure(POS),

@@ -27,11 +27,11 @@ def cloud_of(v_n, v_prev=None, grad_n=None, grad_prev=None, dt=0.1, has_history=
     n = len(v_n)
     grad_n = np.zeros((n, 2, 2)) if grad_n is None else np.asarray(grad_n, dtype=float)
     if not has_history:
-        return make_cloud(np.zeros((n, 2)), v_n, grad_n, smoothing_length=1.0, dt=dt)
+        return make_cloud(np.zeros((n, 2)), v_n, grad_n, dt=dt)
     v_prev = np.zeros_like(v_n) if v_prev is None else np.atleast_2d(np.asarray(v_prev, dtype=float))
     grad_prev = np.zeros((n, 2, 2)) if grad_prev is None else np.asarray(grad_prev, dtype=float)
-    cloud = make_cloud(np.zeros((n, 2)), v_prev, grad_prev, smoothing_length=1.0, dt=dt)
-    return advance_history(cloud, v_n, grad_n)
+    cloud = make_cloud(np.zeros((n, 2)), v_prev, grad_prev, dt=dt)
+    return advance_history(cloud, cloud.positions, v_n, grad_n)
 
 
 def test_m1_direct_product():
@@ -194,7 +194,8 @@ def test_m4_cached_series_matches_recomputation():
         assert np.array_equal(disp, move_m4(cloud, dt)[0])
         v_prev, g_prev = v, g
     with pytest.raises(StructuralError):
-        advance_history(cloud_of(v[:3], dt=dt), v[:3], g[:3], series)
+        small = cloud_of(v[:3], dt=dt)
+        advance_history(small, small.positions, v[:3], g[:3], series)
 
 
 def test_m4_combination_and_series_bits():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lagmove import diagnostics, movers
-from lagmove.cloud import make_cloud
+from lagmove.cloud import PointCloud, make_cloud
 from lagmove.errors import NumericInputError, StructuralError
 from lagmove.fields import (
     LinearField,
@@ -104,11 +104,24 @@ def test_default_smoothing_length_keeps_stencils_small(n):
 
 
 def test_sample_disc_contract():
-    with pytest.raises(StructuralError):
-        sample_disc((0.0, 0.0), 1.0, 1)
-    pts = sample_disc((0.0, 0.0), 1.0, 3)
-    assert pts.shape == (3, 2)
-    assert len(np.unique(pts, axis=0)) == 3
+    # three points of this layout are collinear: two antipodes and one between
+    for n in (1, 3):
+        with pytest.raises(StructuralError):
+            sample_disc((0.0, 0.0), 1.0, n)
+    pts = sample_disc((0.0, 0.0), 1.0, 4)
+    assert pts.shape == (4, 2)
+    assert len(np.unique(pts, axis=0)) == 4
+    diameter, area = diagnostics.measure(pts)
+    assert diameter == pytest.approx(2.0) and area > 0.0
+
+
+@pytest.mark.parametrize("mode", ["analytic", "numeric"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_smallest_discs_run_every_scenario(n, mode):
+    for name in SCENARIOS:
+        for mover in movers.MOVER_NAMES:
+            final = run(make_scenario(name, n, t_end=0.3), config(mover, dt=0.1, gradient_mode=mode))[-1]
+            assert final.hull_volume > 0.0 and np.isfinite(final.eps_x)
 
 
 def test_sample_disc_containment_and_spread():
@@ -153,7 +166,6 @@ def test_single_step_composition():
         pos,
         sc.field.evaluate(pos, 0.0),
         sc.field.gradient(pos, 0.0),
-        smoothing_length=0.3,
         dt=0.1,
     )
     out = step(cloud, sc, cfg)
@@ -268,11 +280,8 @@ def test_modulated_rotation_trajectory_ordering():
     assert errs["m4"] < errs["m2"] < errs["m1"]
 
 
-@pytest.mark.parametrize("t_end, calls", [(1.0, 21), (1.02, 23)], ids=["whole", "short-last"])
-def test_m4_series_calls_per_run(monkeypatch, t_end, calls):
-    # bootstrap m3: 1 call; first m4 step: 2; every later m4 step: 1, as
-    # the old level's series is the last step's new one; the short last
-    # step uses another dt, so it computes both
+def series_calls(monkeypatch) -> list:
+    """The offset of each ``exp_series_apply`` call from here on."""
     offsets = []
     original = movers.exp_series_apply
 
@@ -281,6 +290,15 @@ def test_m4_series_calls_per_run(monkeypatch, t_end, calls):
         return original(grad, v, dt, terms, offset)
 
     monkeypatch.setattr(movers, "exp_series_apply", counted)
+    return offsets
+
+
+@pytest.mark.parametrize("t_end, calls", [(1.0, 21), (1.02, 23)], ids=["whole", "short-last"])
+def test_m4_series_calls_per_run(monkeypatch, t_end, calls):
+    # bootstrap m3: 1 call; first m4 step: 2; every later m4 step: 1, as
+    # the old level's series is the last step's new one; the short last
+    # step uses another dt, so it computes both
+    offsets = series_calls(monkeypatch)
     run(make_scenario("modulated-rotation", t_end=t_end), config("m4", dt=0.05))
     assert len(offsets) == calls
 
@@ -293,14 +311,50 @@ def m4_cloud(sc, cfg, steps=3):
     return cloud
 
 
-def test_short_step_neither_reads_nor_keeps_series():
+def test_short_step_series_is_read_only_at_its_dt(monkeypatch):
+    # the (dt, terms) tag alone keeps a series from a step of another dt
     sc = make_scenario("modulated-rotation")
     cfg = config("m4", dt=0.05)
     cloud = m4_cloud(sc, cfg)
+
+    def recomputed(c, dt=None):
+        return step(replace(c, series_prev=None), sc, cfg, dt)
+
+    calls = series_calls(monkeypatch)
     short = step(cloud, sc, cfg, dt=0.02)
-    assert short.series_prev is None
-    fresh = step(step(replace(cloud, series_prev=None), sc, cfg, dt=0.02), sc, cfg)
-    assert np.array_equal(step(short, sc, cfg).positions, fresh.positions)
+    assert len(calls) == 2
+    assert (short.series_prev.dt, short.series_prev.terms) == (0.02, cfg.mover.terms)
+    assert np.array_equal(short.positions, recomputed(cloud, 0.02).positions)
+
+    calls.clear()
+    again = step(short, sc, cfg, dt=0.02)      # same dt: the series is reused
+    assert len(calls) == 1
+    assert np.array_equal(again.positions, recomputed(short, 0.02).positions)
+    assert np.array_equal(again.series_prev.values, recomputed(short, 0.02).series_prev.values)
+
+    calls.clear()
+    full = step(short, sc, cfg)                # regular dt: both series are computed
+    assert len(calls) == 2
+    assert np.array_equal(full.positions, recomputed(short).positions)
+
+
+def test_one_cloud_per_step(monkeypatch):
+    # the initial cloud, one per step and the clock pin of the shortened last step
+    constructed = []
+    init = PointCloud.__init__
+
+    def counted(self, *args, **kwargs):
+        constructed.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PointCloud, "__init__", counted)
+    sc = make_scenario("rotation")
+    cfg = config("m4", dt=0.05)
+    n_full, remainder = plan_steps(sc.t_end, cfg.dt)
+    assert (n_full, remainder > 0.0) == (251, True)
+    records = run(sc, cfg)
+    assert records[-1].step == 252
+    assert len(constructed) == 1 + 252 + 1
 
 
 def test_term_count_change_recomputes_series():
