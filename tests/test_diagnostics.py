@@ -30,6 +30,14 @@ def test_centroid_mean():
     assert np.allclose(centroid(points([[0.0, 0.0], [2.0, 0.0]])), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 222, 5000, 20001])
+def test_centroid_is_the_row_order_mean_bit_for_bit(n):
+    # the reference: NumPy's axis-0 mean of a C-ordered array sums each column in row order
+    rng = np.random.default_rng(n)
+    pos = rng.normal(size=(n, 2)) * 300.0 + [7.0, -3.0]
+    assert np.array_equal(centroid(pos), pos.mean(axis=0))
+
+
 def test_centroid_translates_exactly():
     rng = np.random.default_rng(0)
     pos = rng.normal(size=(30, 2))
