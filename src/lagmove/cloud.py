@@ -16,7 +16,7 @@ not compute it again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,13 +109,15 @@ def advance_history(
     )
     if series is not None:
         check_points(series.values, "series", n, finite=False)
-    return replace(
-        cloud,
+    # the constructor by keyword, not dataclasses.replace: 2 against 5 us per step
+    return PointCloud(
         positions=new_positions,
         velocities=new_velocities,
         velocities_prev=cloud.velocities,
         grad_velocities=new_gradients,
         grad_velocities_prev=cloud.grad_velocities,
-        series_prev=series,
+        dt=cloud.dt,
+        initial_time=cloud.initial_time,
         step=cloud.step + 1,
+        series_prev=series,
     )

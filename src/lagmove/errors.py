@@ -53,7 +53,12 @@ def check_points(
     """``x`` itself, if it is a numeric (N, 2) array, or (N, 2, 2) with
     ``gradient``, whose N is ``rows`` when given and at least 1 otherwise.
 
-    The shape checks cost O(1); ``finite`` adds one scan of every entry.
+    The shape checks cost O(1); ``finite`` adds one pass over a float
+    array. Its sum of squares is finite only if every entry is: a NaN makes
+    it NaN and an infinity +inf, and non-negative terms cannot cancel. Only
+    when the sum is not finite, because an entry is or because finite
+    squares overflow, does an entry-wise scan decide. ``np.vdot`` raises no
+    overflow warning, where ``np.dot`` and ``@`` do. Integers are finite.
     """
     tail = (2, 2) if gradient else (2,)
     if not isinstance(x, np.ndarray) or x.dtype.kind not in "iuf":
@@ -64,14 +69,17 @@ def check_points(
         raise DimensionError(f"{what} has shape {x.shape}; lagmove is 2-D")
     if len(x) == 0 or (rows is not None and len(x) != rows):
         raise StructuralError(f"{what} has {len(x)} rows, expected {rows or 'at least 1'}")
-    if finite and not np.isfinite(x).all():
+    if (
+        finite and x.dtype.kind == "f"
+        and not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all()
+    ):
         raise NumericInputError(f"{what} contains non-finite entries")
     return x
 
 
 def check_count(x: int, what: str, minimum: int) -> int:
     """``x`` itself, if it is an integral number (not a bool) of at least ``minimum``."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
         raise StructuralError(f"{what} must be an integer, not {type(x).__name__}")
     if x < minimum:
         raise StructuralError(f"{what} must be >= {minimum}, got {x}")
@@ -80,7 +88,7 @@ def check_count(x: int, what: str, minimum: int) -> int:
 
 def check_positive(x: float, what: str) -> float:
     """``x`` itself, if it is a finite positive real."""
-    if not isinstance(x, numbers.Real):
+    if type(x) is not float and not isinstance(x, numbers.Real):
         raise StructuralError(f"{what} must be a real number, not {type(x).__name__}")
     if not math.isfinite(x):
         raise NumericInputError(f"{what} must be finite, got {x}")

@@ -20,6 +20,7 @@ multiply-adds over the point axis.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,9 @@ from .errors import (
 
 DEFAULT_TERMS = 5
 MOVER_NAMES = ("m1", "m2", "m3", "m4")
+# (dt, terms, offset) triples whose series coefficients are kept; a run
+# uses at most four (m3 and m4's offset-1 series at dt and at a shortened dt)
+SERIES_COEFFICIENTS_CACHED = 64
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,19 @@ def _require_history(cloud: PointCloud, mover: str) -> None:
         )
 
 
+@functools.lru_cache(maxsize=SERIES_COEFFICIENTS_CACHED, typed=True)
+def _series_coefficients(dt: float, terms: int, offset: int) -> tuple[float, ...]:
+    """dt^p / p! for p = offset + 1 .. offset + terms. Typed, so an argument
+    of another type that compares equal (1.0 for 1) fails or passes as it
+    would uncached; an overflow raises anew on every call."""
+    try:
+        return tuple(dt**p / math.factorial(p) for p in range(offset + 1, offset + terms + 1))
+    except OverflowError:
+        raise NumericInputError(
+            f"series coefficient dt**p / p! overflows a float (dt={dt!r}, terms={terms}, offset={offset})"
+        ) from None
+
+
 def exp_series_apply(
     grad: np.ndarray, v: np.ndarray, dt: float, terms: int, offset: int = 0
 ) -> np.ndarray:
@@ -83,12 +100,7 @@ def exp_series_apply(
     if offset not in (0, 1):
         raise StructuralError("offset must be 0 or 1")
     dt = float(check_positive(dt, "dt"))   # a NumPy scalar's power overflows to inf, a float's raises
-    try:
-        coeffs = [dt**p / math.factorial(p) for p in range(offset + 1, offset + terms + 1)]
-    except OverflowError:
-        raise NumericInputError(
-            f"series coefficient dt**p / p! overflows a float (dt={dt!r}, terms={terms}, offset={offset})"
-        ) from None
+    coeffs = _series_coefficients(dt, terms, offset)
     v = check_points(np.asarray(v, dtype=float), "v", finite=False)
     grad = check_points(np.asarray(grad, dtype=float), "grad", len(v), gradient=True, finite=False)
     g00, g01, g10, g11 = grad[:, 0, 0], grad[:, 0, 1], grad[:, 1, 0], grad[:, 1, 1]

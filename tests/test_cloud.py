@@ -1,9 +1,9 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from lagmove.cloud import LevelSeries, advance_history, make_cloud
+from lagmove.cloud import LevelSeries, PointCloud, advance_history, make_cloud
 from lagmove.errors import NumericInputError, StructuralError
 
 
@@ -31,6 +31,31 @@ def test_advance_sets_history_flag():
     # monotone: stays true
     out2 = advance_history(out, out.positions, out.velocities, out.grad_velocities)
     assert out2.has_history
+
+
+def test_advance_carries_every_field():
+    # a pinned clock (as after a shortened step), step k and a series: every
+    # field distinct, so a field filled from the wrong source shows
+    rng = np.random.default_rng(1)
+    cloud = replace(
+        small_cloud(), initial_time=0.37, step=4,
+        series_prev=LevelSeries(np.zeros((3, 2)), 0.1, 5),
+    )
+    new = rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2, 2))
+    series = LevelSeries(rng.normal(size=(3, 2)), 0.1, 5)
+    out = advance_history(cloud, *new, series)
+    expected = replace(
+        cloud, positions=new[0], velocities=new[1], velocities_prev=cloud.velocities,
+        grad_velocities=new[2], grad_velocities_prev=cloud.grad_velocities,
+        series_prev=series, step=cloud.step + 1,
+    )
+    for field in fields(PointCloud):
+        got, want = getattr(out, field.name), getattr(expected, field.name)
+        if isinstance(want, (np.ndarray, LevelSeries)):
+            assert got is want, field.name
+        else:
+            assert type(got) is type(want) and got == want, field.name
+    assert out.time == expected.time
 
 
 def test_advance_rejects_series_of_another_size():

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagmove.cloud import make_cloud
 from lagmove.diagnostics import measure
@@ -84,3 +88,70 @@ def test_check_count_lower_bound():
     assert check_count(np.int64(3), "n", 3) == 3
     with pytest.raises(StructuralError, match="n must be >= 3, got 2"):
         check_count(2, "n", 3)
+
+
+def check_points_silently(x, gradient):
+    """Whether ``check_points`` raised NumericInputError; fails on any warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            check_points(x, "x", gradient=gradient)
+            raised = False
+        except NumericInputError:
+            raised = True
+    assert not caught, [str(w.message) for w in caught]
+    return raised
+
+
+@st.composite
+def point_arrays(draw):
+    """Float64, float32 and int arrays of shape (N, 2) or (N, 2, 2), laid out
+    C-ordered, Fortran-ordered or as a strided slice, with entries up to the
+    dtype's largest and NaN, +inf or -inf planted at random entries or not."""
+    dtype = np.dtype(draw(st.sampled_from(["float64", "float32", "int64"])))
+    gradient = draw(st.booleans())
+    shape = (draw(st.integers(1, 12)),) + ((2, 2) if gradient else (2,))
+    size = int(np.prod(shape))
+    if dtype.kind == "f":
+        big = float(np.finfo(dtype).max)
+        magnitude = draw(st.sampled_from([m for m in (1.0, 1e19, 1e30, 1e154, 1e200, big) if m <= big]))
+        elements = st.floats(-1.0, 1.0).map(lambda u: u * magnitude)
+    else:
+        info = np.iinfo(dtype)
+        elements = st.integers(int(info.min), int(info.max))
+    x = np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=dtype).reshape(shape)
+    if dtype.kind == "f":
+        for i in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+            x.flat[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    layout = draw(st.sampled_from(["C", "F", "sliced"]))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "sliced":
+        base = np.zeros((2 * len(x),) + shape[1:], dtype=dtype)
+        base[::2] = x
+        x = base[::2]
+    return x, gradient
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_arrays())
+def test_finite_check_is_exact_and_silent(case):
+    x, gradient = case
+    assert check_points_silently(x, gradient) == (not np.isfinite(x).all())
+
+
+@pytest.mark.parametrize("gradient", [False, True], ids=["points", "gradients"])
+@pytest.mark.parametrize(
+    "value, dtype", [(1e200, float), (-1e308, float), (1e30, np.float32)],
+    ids=["1e200", "-1e308", "float32-1e30"],
+)
+def test_finite_entries_whose_squares_overflow_pass(value, dtype, gradient):
+    shape = (5, 2, 2) if gradient else (5, 2)
+    assert not check_points_silently(np.full(shape, value, dtype=dtype), gradient)
+
+
+@pytest.mark.parametrize("gradient", [False, True], ids=["points", "gradients"])
+def test_one_nan_among_large_entries_raises(gradient):
+    x = np.full((5, 2, 2) if gradient else (5, 2), 1e200)
+    x.flat[7] = np.nan
+    assert check_points_silently(x, gradient)
