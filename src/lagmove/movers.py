@@ -38,8 +38,8 @@ from .errors import (
 
 DEFAULT_TERMS = 5
 MOVER_NAMES = ("m1", "m2", "m3", "m4")
-# (dt, terms, offset) triples whose series coefficients are kept; a run
-# uses at most four (m3 and m4's offset-1 series at dt and at a shortened dt)
+# (dt, terms, offset) triples whose series coefficients are kept; the
+# paper's sweep uses 16 (offsets 0 and 1 at 4 dts and 4 shortened dts)
 SERIES_COEFFICIENTS_CACHED = 64
 
 

@@ -154,6 +154,13 @@ def test_series_coefficient_overflow_is_numeric_input_error(dt, terms, offset):
         exp_series_apply(np.zeros((1, 2, 2)), np.ones((1, 2)), dt, terms, offset)
 
 
+def test_series_coefficient_overflow_raises_on_every_call():
+    # the coefficients are cached per (dt, terms, offset); an exception is not
+    for _ in range(3):
+        with pytest.raises(NumericInputError, match="overflows a float"):
+            exp_series_apply(np.zeros((1, 2, 2)), np.ones((1, 2)), 0.05, 200, 1)
+
+
 def test_series_numpy_integer_terms_overflow_is_structural_error():
     with pytest.raises(StructuralError):
         exp_series_apply(np.zeros((1, 2, 2)), np.ones((1, 2)), 0.05, np.int64(222))
