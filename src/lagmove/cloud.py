@@ -7,6 +7,9 @@ of the input are never mutated. The cloud is the one state of a step:
 builds its next cloud once, with ``advance_history``: the moved positions
 and the velocity level sampled there. Each array is checked once, where it
 enters (``make_cloud``, ``advance_history``), so its readers trust it.
+Clouds only read their arrays, so a gradient may be a read-only view: an
+analytic run's gradients are one (2, 2) matrix broadcast to (N, 2, 2), a
+numeric run's are full (N, 2, 2) arrays.
 
 Besides the two velocity levels the cloud carries ``series_prev``, the m4
 mover's series of the previous level, tagged with its dt and term count.
@@ -75,12 +78,14 @@ def make_cloud(
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
     grad_velocities = np.asarray(grad_velocities, dtype=float)
+    # the zero level is C-ordered: zeros_like keeps a broadcast gradient's
+    # strided layout, which the finite scan would copy whole
     cloud = PointCloud(
         positions=positions,
         velocities=velocities,
-        velocities_prev=np.zeros_like(velocities),
+        velocities_prev=np.zeros(velocities.shape),
         grad_velocities=grad_velocities,
-        grad_velocities_prev=np.zeros_like(grad_velocities),
+        grad_velocities_prev=np.zeros(grad_velocities.shape),
         dt=dt,
     )
     cloud.validate()

@@ -59,6 +59,9 @@ def check_points(
     when the sum is not finite, because an entry is or because finite
     squares overflow, does an entry-wise scan decide. ``np.vdot`` raises no
     overflow warning, where ``np.dot`` and ``@`` do. Integers are finite.
+    Every row of an array whose row stride is 0 (a ``np.broadcast_to``
+    view) is its first row, so only that row is scanned: ``np.vdot`` would
+    copy the whole view first.
     """
     tail = (2, 2) if gradient else (2,)
     if not isinstance(x, np.ndarray) or x.dtype.kind not in "iuf":
@@ -69,11 +72,10 @@ def check_points(
         raise DimensionError(f"{what} has shape {x.shape}; lagmove is 2-D")
     if len(x) == 0 or (rows is not None and len(x) != rows):
         raise StructuralError(f"{what} has {len(x)} rows, expected {rows or 'at least 1'}")
-    if (
-        finite and x.dtype.kind == "f"
-        and not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all()
-    ):
-        raise NumericInputError(f"{what} contains non-finite entries")
+    if finite and x.dtype.kind == "f":
+        scanned = x[:1] if x.strides[0] == 0 else x
+        if not math.isfinite(np.vdot(scanned, scanned)) and not np.isfinite(scanned).all():
+            raise NumericInputError(f"{what} contains non-finite entries")
     return x
 
 

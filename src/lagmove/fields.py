@@ -1,10 +1,15 @@
 """Prescribed analytic velocity fields with exact spatial Jacobians.
 
 Every field is a pure function of (x, t). ``evaluate`` accepts positions of
-shape (N, 2) and returns (N, 2); ``gradient`` returns (N, 2, 2). Positions
-are checked by shape only: the stepping code scans what fields return. Every
-call returns a fresh array; both rotations share one matmul-free kernel.
-Exact gradients separate integrator error from reconstruction error.
+shape (N, 2) and returns (N, 2). Every field is affine in x, so its
+gradient is one matrix at every point: ``jacobian(t)`` returns that (2, 2)
+matrix, and ``gradient`` repeats it into a full (N, 2, 2) array. An
+analytic run installs ``jacobian(t)`` broadcast to (N, 2, 2), a read-only
+view with row stride 0; a numeric run installs the full (N, 2, 2) arrays
+of the WLSQ fit. Positions are checked by shape only: the stepping code
+scans what fields return. Every call returns a fresh array; both rotations
+share one matmul-free kernel. Exact gradients separate integrator error
+from reconstruction error.
 """
 from __future__ import annotations
 
@@ -15,6 +20,17 @@ import numpy as np
 from .errors import DimensionError, check_points
 
 _ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+class _AffineField:
+    """A field whose Jacobian does not depend on x. Each subclass defines
+    ``jacobian(t)``, which returns a fresh (2, 2) float array."""
+
+    def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
+        """``jacobian(t)`` at each of the N rows of ``x``: a fresh, writable
+        (N, 2, 2) array."""
+        check_points(x, "x", finite=False)
+        return self.jacobian(t)[None].repeat(len(x), axis=0)
 
 
 def _rotate(x: np.ndarray, center: tuple[float, float], rate: float) -> np.ndarray:
@@ -28,7 +44,7 @@ def _rotate(x: np.ndarray, center: tuple[float, float], rate: float) -> np.ndarr
 
 
 @dataclass(frozen=True)
-class RigidRotation:
+class RigidRotation(_AffineField):
     """v(x) = omega * (-(y - cy), x - cx): rigid rotation about a center."""
 
     center: tuple[float, float] = (0.0, 0.0)
@@ -38,13 +54,12 @@ class RigidRotation:
         check_points(x, "x", finite=False)
         return _rotate(x, self.center, self.omega)
 
-    def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
-        check_points(x, "x", finite=False)
-        return (self.omega * _ROT90)[None].repeat(x.shape[0], axis=0)
+    def jacobian(self, t: float) -> np.ndarray:
+        return self.omega * _ROT90
 
 
 @dataclass(frozen=True)
-class Lissajous:
+class Lissajous(_AffineField):
     """Spatially constant, time dependent: v(t) = (15 cos(5t + pi/2), 4 cos(4t))."""
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -52,9 +67,8 @@ class Lissajous:
         v = np.array([15.0 * np.cos(5.0 * t + np.pi / 2.0), 4.0 * np.cos(4.0 * t)])
         return v[None].repeat(x.shape[0], axis=0)
 
-    def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
-        check_points(x, "x", finite=False)
-        return np.zeros((x.shape[0], 2, 2))
+    def jacobian(self, t: float) -> np.ndarray:
+        return np.zeros((2, 2))
 
 
 def exact_lissajous_center(t: float) -> np.ndarray:
@@ -67,7 +81,7 @@ def exact_lissajous_center(t: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LinearField:
+class LinearField(_AffineField):
     """v(x) = A x + b with constant A, b. Jacobian is A everywhere."""
 
     A: tuple[tuple[float, ...], ...]
@@ -81,20 +95,16 @@ class LinearField:
         if shapes != ((2, 2), (2,)):
             raise DimensionError(f"LinearField needs a (2, 2) A and a (2,) b, got {self.A} and {self.b}")
 
-    def _matrix(self) -> np.ndarray:
-        return np.asarray(self.A, dtype=float)
+    def jacobian(self, t: float) -> np.ndarray:
+        return np.array(self.A, dtype=float)
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
-        return x @ self._matrix().T + np.asarray(self.b, dtype=float)
-
-    def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
-        check_points(x, "x", finite=False)
-        return self._matrix()[None].repeat(x.shape[0], axis=0)
+        return x @ self.jacobian(t).T + np.asarray(self.b, dtype=float)
 
 
 @dataclass(frozen=True)
-class ModulatedRotation:
+class ModulatedRotation(_AffineField):
     """Rotation with time-varying rate omega(t) = omega0 (1 + 0.5 sin(2 pi f t)).
 
     A minimal unsteady rotational flow: still rigid-body at every instant,
@@ -117,9 +127,8 @@ class ModulatedRotation:
         check_points(x, "x", finite=False)
         return _rotate(x, self.center, self.rate(t))
 
-    def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
-        check_points(x, "x", finite=False)
-        return (self.rate(t) * _ROT90)[None].repeat(x.shape[0], axis=0)
+    def jacobian(self, t: float) -> np.ndarray:
+        return self.rate(t) * _ROT90
 
     def angle(self, t: float) -> float:
         """Accumulated rotation angle: integral of omega(s) ds over [0, t]."""

@@ -95,10 +95,13 @@ def exp_series_apply(
     product works on the components g_ij = grad[:, i, j] and w_i of
     grad^k v, row by row: w0' = g00 w0 + g01 w1, w1' = g10 w0 + g11 w1.
     A coefficient dt^p / p! too large for a float raises NumericInputError.
+    ``offset`` is an integer as ``check_count`` takes one (a NumPy integer
+    is accepted, a bool or a float is not) of value 0 or 1. ``grad`` may be
+    a broadcast view; its stride-0 columns give the same bits as full ones.
     """
     check_count(terms, "terms", 1)
-    if offset not in (0, 1):
-        raise StructuralError("offset must be 0 or 1")
+    if check_count(offset, "offset", 0) > 1:
+        raise StructuralError(f"offset must be 0 or 1, got {offset}")
     dt = float(check_positive(dt, "dt"))   # a NumPy scalar's power overflows to inf, a float's raises
     coeffs = _series_coefficients(dt, terms, offset)
     v = check_points(np.asarray(v, dtype=float), "v", finite=False)

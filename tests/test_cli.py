@@ -162,19 +162,22 @@ def scaled_by(factor):
     return lambda original: lambda *args, **kwargs: original(*args, **kwargs) * factor
 
 
-# check -> (owner, attribute, fault wrapped around the attribute); the
-# finite-difference check resolves 1e-8, so its planted fault is 1e-7
+# "check" or "check/attribute" -> (owner, attribute, fault wrapped around the
+# attribute); the finite-difference check resolves 1e-8, so its planted
+# faults are 1e-7. An analytic run reads the Jacobian, the check the gradient.
 PLANTED_FAULTS = {
     "neighbor-search-vs-brute-force": (neighbors, "build_index", dropping_first_pair),
     "wlsq-linear-exactness": (gfdm, "all_gradients", scaled_by(1 + 1e-9)),
     "reduction-identities": (movers, "move_m3", scaled_by(1 + 1e-9)),
     "field-gradients-vs-finite-differences": (RigidRotation, "gradient", scaled_by(1 + 1e-7)),
+    "field-gradients-vs-finite-differences/jacobian": (RigidRotation, "jacobian", scaled_by(1 + 1e-7)),
 }
 
 
-@pytest.mark.parametrize("check", sorted(PLANTED_FAULTS))
-def test_validate_detects_planted_fault(check, monkeypatch, capsys):
-    owner, attribute, fault = PLANTED_FAULTS[check]
+@pytest.mark.parametrize("case", sorted(PLANTED_FAULTS))
+def test_validate_detects_planted_fault(case, monkeypatch, capsys):
+    check = case.split("/")[0]
+    owner, attribute, fault = PLANTED_FAULTS[case]
     monkeypatch.setattr(owner, attribute, fault(getattr(owner, attribute)))
     ok, detail = dict(validate.ALL_CHECKS)[check]()
     assert not ok, detail

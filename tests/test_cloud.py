@@ -23,6 +23,15 @@ def test_advance_shifts_history():
     assert out.step == cloud.step + 1
 
 
+def test_zero_level_of_a_broadcast_gradient_is_c_ordered():
+    # the finite scan would copy a zero level laid out like the broadcast view
+    g = np.broadcast_to(np.eye(2), (5, 2, 2))
+    cloud = make_cloud(np.zeros((5, 2)), np.ones((5, 2)), g, dt=0.1)
+    assert cloud.grad_velocities is g
+    assert cloud.grad_velocities_prev.flags.c_contiguous
+    assert np.array_equal(cloud.grad_velocities_prev, np.zeros((5, 2, 2)))
+
+
 def test_advance_sets_history_flag():
     cloud = small_cloud()
     assert not cloud.has_history

@@ -106,8 +106,9 @@ def check_points_silently(x, gradient):
 @st.composite
 def point_arrays(draw):
     """Float64, float32 and int arrays of shape (N, 2) or (N, 2, 2), laid out
-    C-ordered, Fortran-ordered or as a strided slice, with entries up to the
-    dtype's largest and NaN, +inf or -inf planted at random entries or not."""
+    C-ordered, Fortran-ordered, as a strided slice or as the first row
+    broadcast to every row, with entries up to the dtype's largest and NaN,
+    +inf or -inf planted at random entries or not."""
     dtype = np.dtype(draw(st.sampled_from(["float64", "float32", "int64"])))
     gradient = draw(st.booleans())
     shape = (draw(st.integers(1, 12)),) + ((2, 2) if gradient else (2,))
@@ -123,9 +124,11 @@ def point_arrays(draw):
     if dtype.kind == "f":
         for i in draw(st.lists(st.integers(0, size - 1), max_size=3)):
             x.flat[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-    layout = draw(st.sampled_from(["C", "F", "sliced"]))
+    layout = draw(st.sampled_from(["C", "F", "sliced", "broadcast"]))
     if layout == "F":
         x = np.asfortranarray(x)
+    elif layout == "broadcast":
+        x = np.broadcast_to(x[:1], x.shape)
     elif layout == "sliced":
         base = np.zeros((2 * len(x),) + shape[1:], dtype=dtype)
         base[::2] = x
@@ -155,3 +158,34 @@ def test_one_nan_among_large_entries_raises(gradient):
     x = np.full((5, 2, 2) if gradient else (5, 2), 1e200)
     x.flat[7] = np.nan
     assert check_points_silently(x, gradient)
+
+
+@pytest.mark.parametrize("gradient", [False, True], ids=["points", "gradients"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_broadcast_non_finite_row_raises(bad, gradient):
+    row = np.array([[0.5, bad], [1.0, 2.0]]) if gradient else np.array([bad, 0.5])
+    x = np.broadcast_to(row, (1000,) + row.shape)
+    assert x.strides[0] == 0
+    assert check_points_silently(x, gradient)
+
+
+@pytest.mark.parametrize("gradient", [False, True], ids=["points", "gradients"])
+def test_broadcast_row_whose_squares_overflow_passes(gradient):
+    row = np.full((2, 2) if gradient else (2,), 1e200)
+    assert not check_points_silently(np.broadcast_to(row, (1000,) + row.shape), gradient)
+
+
+def test_broadcast_finite_check_reads_one_row(monkeypatch):
+    # np.vdot would copy the whole view; the first row stands for every row
+    scanned = []
+    vdot = np.vdot
+
+    def spy(a, b):
+        scanned.append(np.size(a))
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", spy)
+    n = 20_000
+    check_points(np.broadcast_to(np.eye(2), (n, 2, 2)), "g", n, gradient=True)
+    check_points(np.ones((n, 2, 2)), "g", n, gradient=True)
+    assert scanned == [4, 4 * n]

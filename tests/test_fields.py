@@ -142,3 +142,15 @@ def test_results_are_fresh_arrays(field):
         assert first.flags.writeable and first.flags.c_contiguous
         first += 1.0
         assert np.array_equal(method(x, 0.4), expected)
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+def test_jacobian_is_fresh_and_every_row_of_the_gradient(field):
+    x = np.random.default_rng(6).uniform(-1.0, 1.0, size=(6, 2))
+    for t in (0.0, 0.4, 3.1):
+        first = field.jacobian(t)
+        assert first.shape == (2, 2) and first.dtype == float
+        expected = first.copy()
+        first += 1.0
+        assert np.array_equal(field.jacobian(t), expected)
+        assert np.array_equal(field.gradient(x, t), np.broadcast_to(expected, (6, 2, 2)))

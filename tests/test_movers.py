@@ -17,6 +17,7 @@ from lagmove.movers import (
     move_m3,
     move_m4,
 )
+from lagmove.scenarios import SCENARIOS
 from lagmove.validate import phi1_expm
 
 
@@ -127,6 +128,32 @@ def test_series_rejects_bad_args():
         exp_series_apply(np.zeros((1, 2, 2)), np.zeros((1, 2)), 0.1, 0)
     with pytest.raises(StructuralError):
         exp_series_apply(np.zeros((1, 2, 2)), np.zeros((1, 2)), 0.1, 5, offset=2)
+
+
+@pytest.mark.parametrize("offset", [1.0, True, 2], ids=["float", "bool", "two"])
+def test_series_offset_must_be_an_integer_0_or_1(offset):
+    with pytest.raises(StructuralError, match="offset"):
+        exp_series_apply(np.zeros((1, 2, 2)), np.ones((1, 2)), 0.1, 5, offset=offset)
+
+
+def test_series_numpy_integer_offset_accepted():
+    # offsets follow the count contract of check_count, which takes NumPy integers
+    g = np.full((3, 2, 2), 0.5)
+    v = np.ones((3, 2))
+    assert np.array_equal(
+        exp_series_apply(g, v, 0.1, 5, offset=np.int64(1)), exp_series_apply(g, v, 0.1, 5, offset=1)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 222, 20_000])
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_series_same_bits_on_broadcast_gradient(name, offset, n):
+    # an analytic run hands the series one Jacobian broadcast to (N, 2, 2)
+    jac = SCENARIOS[name].field.jacobian(0.7)
+    v = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
+    full = exp_series_apply(jac[None].repeat(n, axis=0), v, 0.05, 5, offset)
+    assert np.array_equal(exp_series_apply(np.broadcast_to(jac, (n, 2, 2)), v, 0.05, 5, offset), full)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 from dataclasses import replace
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from lagmove import diagnostics, movers
+from lagmove import diagnostics, movers, scenarios
 from lagmove.cloud import PointCloud, make_cloud
 from lagmove.errors import NumericInputError, StructuralError
 from lagmove.fields import (
@@ -229,6 +230,39 @@ def test_step_rejects_non_finite_velocities(name, history):
     bad[3, 0] = np.nan
     with pytest.raises(NumericInputError):
         step(replace(cloud, velocities=bad), sc, cfg)
+
+
+def test_overflowing_positions_raise_numeric_input_error_without_a_warning():
+    # m1 at dt 1 multiplies the linear field's positions by ~1.58 per step
+    sc = make_scenario("linear-field", t_end=2000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericInputError, match="new_positions contains non-finite entries"):
+            run(sc, config("m1", dt=1.0, output_stride=100_000))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("mode", ["analytic", "numeric"])
+def test_run_installs_broadcast_analytic_and_full_numeric_gradients(monkeypatch, mode, name):
+    # an analytic gradient is one (2, 2) matrix shared by every row
+    installed = []
+    advance = scenarios.advance_history
+
+    def recorded(cloud, positions, velocities, gradients, series=None):
+        installed.append(gradients)
+        return advance(cloud, positions, velocities, gradients, series)
+
+    monkeypatch.setattr(scenarios, "advance_history", recorded)
+    sc = make_scenario(name, t_end=0.25)
+    cfg = config("m4", dt=0.05, gradient_mode=mode)
+    run(sc, cfg)
+    installed.append(initial_cloud(sc, cfg).grad_velocities)
+    assert len(installed) == 6
+    for g in installed:
+        if mode == "analytic":
+            assert g.strides[0] == 0 and not g.flags.writeable
+        else:
+            assert g.flags.c_contiguous and g.flags.writeable
 
 
 def test_lissajous_m2_better_than_m1():
