@@ -8,8 +8,9 @@ builds its next cloud once, with ``advance_history``: the moved positions
 and the velocity level sampled there. Each array is checked once, where it
 enters (``make_cloud``, ``advance_history``), so its readers trust it.
 Clouds only read their arrays, so a gradient may be a read-only view: an
-analytic run's gradients are one (2, 2) matrix broadcast to (N, 2, 2), a
-numeric run's are full (N, 2, 2) arrays.
+analytic run's gradients are the views ``fields.gradient`` builds, one
+(2, 2) matrix broadcast to (N, 2, 2); a numeric run's are full (N, 2, 2)
+arrays.
 
 Besides the two velocity levels the cloud carries ``series_prev``, the m4
 mover's series of the previous level, tagged with its dt and term count.

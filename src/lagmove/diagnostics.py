@@ -15,12 +15,9 @@ from scipy.spatial.distance import pdist
 
 from .errors import DegenerateGeometryError, check_points, check_positive
 
-# Fewest rows for which measure() hands Qhull only the rows outside the
-# extreme octagon's inscribed circle; below it the filter costs more than
-# it saves.
-HULL_FILTER_MIN_ROWS = 1000
-# Shrink of that circle's radius, relative to the octagon's size, so that
-# rounding in the edge distances cannot drop a point on its boundary.
+# Shrink of the radius of the extreme octagon's inscribed circle, relative
+# to the octagon's size, so that rounding in the edge distances cannot drop
+# a point on its boundary (``_hull_candidates``).
 HULL_FILTER_MARGIN = 1e-9
 
 
@@ -83,14 +80,14 @@ def measure(positions: np.ndarray) -> tuple[float, float]:
 
     The farthest pair of a point set is a pair of hull vertices, so the
     diameter is the maximum pairwise distance over the vertices alone.
-    From ``HULL_FILTER_MIN_ROWS`` rows on, Qhull sees only the rows
-    ``_hull_candidates`` keeps: the hull, and so both measures, are those
-    of all rows.
+    Qhull sees only the rows ``_hull_candidates`` keeps: the hull, and so
+    the diameter, are those of all rows. The area is Qhull's sum over the
+    same facets, seen from an interior point of the rows it is given, so
+    it may differ from an all-row hull's in its last bits.
     """
     if len(check_points(positions, "positions")) < 3:
         raise DegenerateGeometryError("too few points for a full-dimensional hull")
-    if len(positions) >= HULL_FILTER_MIN_ROWS:
-        positions = _hull_candidates(positions)
+    positions = _hull_candidates(positions)
     try:
         hull = ConvexHull(positions)
     except QhullError as exc:

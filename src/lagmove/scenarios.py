@@ -9,10 +9,11 @@ A step does, in order: displace points with the configured scheme, sample
 the field (and its gradient, analytic or WLSQ-reconstructed from neighbor
 velocities) at the new positions and time, and install both as the next
 cloud. Movement always happens before the velocity update. Every field
-is affine, so an analytic gradient is the field's (2, 2) Jacobian
-broadcast to a read-only (N, 2, 2) view whose rows share memory; a
-numeric gradient is a full (N, 2, 2) array. The ``PointCloud`` is the one
-state of a step: the movers read it, the other kernels take arrays.
+is affine, so an analytic gradient is the view ``field.gradient`` builds:
+its (2, 2) Jacobian broadcast to a read-only (N, 2, 2) view whose rows
+share memory. A numeric gradient is a full (N, 2, 2) array. The
+``PointCloud`` is the one state of a step: the movers read it, the other
+kernels take arrays.
 """
 from __future__ import annotations
 
@@ -143,22 +144,13 @@ def make_scenario(name: str, n: int = PAPER_N, t_end: float | None = None) -> Sc
     return replace(scenario, n_points=n, t_end=scenario.t_end if t_end is None else t_end)
 
 
-def _broadcast_rows(matrix: np.ndarray, n: int) -> np.ndarray:
-    """``np.broadcast_to(matrix, (n,) + matrix.shape)``: a read-only view of
-    the fresh, C-ordered ``matrix`` with row stride 0. Built directly, since
-    ``broadcast_to`` goes through an iterator and takes 3 us more, a tenth
-    of a step at the paper's size."""
-    matrix.setflags(write=False)
-    return np.ndarray((n,) + matrix.shape, matrix.dtype, matrix, strides=(0,) + matrix.strides)
-
-
 def _field_state(scenario: Scenario, config: RunConfig, positions, t):
     """Velocity and current-level gradient at given positions and time. An
-    analytic gradient is the field's one (2, 2) Jacobian, broadcast to a
-    read-only (N, 2, 2) view; a numeric one is the full WLSQ array."""
+    analytic gradient is ``field.gradient``'s read-only (N, 2, 2) view of
+    the one (2, 2) Jacobian; a numeric one is the full WLSQ array."""
     v = scenario.field.evaluate(positions, t)
     if config.gradient_mode == "analytic":
-        g = _broadcast_rows(scenario.field.jacobian(t), len(positions))
+        g = scenario.field.gradient(positions, t)
     else:
         h = scenario.smoothing_length
         index = neighbors.build_index(positions, h)

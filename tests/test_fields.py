@@ -136,12 +136,17 @@ def test_rotations_equal_the_matmul_formulas(kind, center, w):
 @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
 def test_results_are_fresh_arrays(field):
     x = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 2))
-    for method in (field.evaluate, field.gradient):
-        first = method(x, 0.4)
-        expected = first.copy()
-        assert first.flags.writeable and first.flags.c_contiguous
-        first += 1.0
-        assert np.array_equal(method(x, 0.4), expected)
+    first = field.evaluate(x, 0.4)
+    expected = first.copy()
+    assert first.flags.writeable and first.flags.c_contiguous
+    first += 1.0
+    assert np.array_equal(field.evaluate(x, 0.4), expected)
+    # the gradient is one fresh (2, 2) matrix, viewed read-only at every row
+    first = field.gradient(x, 0.4)
+    assert not first.flags.writeable
+    assert first.strides[0] == 0
+    assert np.array_equal(first, np.broadcast_to(field.jacobian(0.4), (6, 2, 2)))
+    assert not np.shares_memory(first, field.gradient(x, 0.4))
 
 
 @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())

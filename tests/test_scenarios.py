@@ -265,6 +265,39 @@ def test_run_installs_broadcast_analytic_and_full_numeric_gradients(monkeypatch,
             assert g.flags.c_contiguous and g.flags.writeable
 
 
+class GradientSpy:
+    """A field that keeps every array its ``gradient`` returns."""
+
+    def __init__(self, field):
+        self._field = field
+        self.returned = []
+
+    def gradient(self, x, t):
+        self.returned.append(self._field.gradient(x, t))
+        return self.returned[-1]
+
+    def __getattr__(self, name):
+        return getattr(self._field, name)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_analytic_run_installs_the_field_gradient_itself(monkeypatch, name):
+    # one path: every cloud holds the very array field.gradient returned
+    installed = []
+    for builder in ("make_cloud", "advance_history"):
+        def recorded(*args, _build=getattr(scenarios, builder), **kwargs):
+            cloud = _build(*args, **kwargs)
+            installed.append(cloud.grad_velocities)
+            return cloud
+
+        monkeypatch.setattr(scenarios, builder, recorded)
+    spy = GradientSpy(SCENARIOS[name].field)
+    # 5 full steps and a shortened one
+    run(replace(make_scenario(name, t_end=0.27), field=spy), config("m4", dt=0.05))
+    assert len(installed) == len(spy.returned) == 7
+    assert all(g is r for g, r in zip(installed, spy.returned))
+
+
 def test_lissajous_m2_better_than_m1():
     sc = make_scenario("lissajous")
     e1 = run(sc, config("m1", dt=0.05))[-1].eps_x
