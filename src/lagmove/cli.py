@@ -7,6 +7,7 @@ written values round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -29,8 +30,7 @@ def write_csv(records: list[DiagnosticsRecord], path: str) -> None:
         row += [_fmt(c) for c in r.centroid]
         row += [_fmt(r.diameter), _fmt(r.hull_volume), _fmt(r.eps_dia), _fmt(r.eps_x), _fmt(r.eps_V)]
         lines.append(",".join(row))
-    with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_sweep_csv(cells: list[scenarios.SweepCell], path: str) -> None:
@@ -39,8 +39,16 @@ def write_sweep_csv(cells: list[scenarios.SweepCell], path: str) -> None:
         lines.append(
             ",".join([c.mover, _fmt(c.dt), _fmt(c.eps_dia), _fmt(c.eps_x), _fmt(c.eps_V), str(int(c.failed))])
         )
+    _write_lines(path, lines)
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def _write_json(path: str, obj) -> None:
+    _write_lines(path, [json.dumps(obj, indent=2)])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,21 +104,15 @@ def cmd_run(args) -> int:
         write_csv(records, args.out)
     final = records[-1]
     if args.summary:
-        with open(args.summary, "w") as f:
-            json.dump(
-                {
-                    "scenario": scenario.name,
-                    "mover": args.mover,
-                    "dt": args.dt,
-                    "t_end": scenario.t_end,
-                    "eps_dia": final.eps_dia,
-                    "eps_x": final.eps_x,
-                    "eps_V": final.eps_V,
-                },
-                f,
-                indent=2,
-            )
-            f.write("\n")
+        _write_json(args.summary, {
+            "scenario": scenario.name,
+            "mover": args.mover,
+            "dt": args.dt,
+            "t_end": scenario.t_end,
+            "eps_dia": final.eps_dia,
+            "eps_x": final.eps_x,
+            "eps_V": final.eps_V,
+        })
     print(
         f"{scenario.name} {args.mover} dt={_fmt(args.dt)}: "
         f"eps_dia={final.eps_dia:.6e} eps_x={final.eps_x:.6e} eps_V={final.eps_V:.6e}"
@@ -134,17 +136,7 @@ def cmd_sweep(args) -> int:
         status = f"FAILED ({c.error})" if c.failed else f"eps_dia={c.eps_dia:.6e} eps_V={c.eps_V:.6e}"
         print(f"{c.mover} dt={_fmt(c.dt)}: {status}")
     if args.summary:
-        with open(args.summary, "w") as f:
-            json.dump(
-                [
-                    {"mover": c.mover, "dt": c.dt, "eps_dia": c.eps_dia,
-                     "eps_x": c.eps_x, "eps_V": c.eps_V, "failed": c.failed, "error": c.error}
-                    for c in cells
-                ],
-                f,
-                indent=2,
-            )
-            f.write("\n")
+        _write_json(args.summary, [dataclasses.asdict(c) for c in cells])
     return 0
 
 

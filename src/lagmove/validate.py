@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from . import gfdm, movers, neighbors
 from .fields import LinearField, Lissajous, ModulatedRotation, RigidRotation
-from .scenarios import SCENARIOS, RunConfig, initial_cloud, make_scenario, step
+from .scenarios import SCENARIOS, RunConfig, initial_cloud, make_scenario, plan_steps, sample_disc, step
 
 # the fields whose closed-form gradient is checked, by test id
 FIELDS = {
@@ -69,6 +69,53 @@ def position_history(scenario, config, n_steps):
     for _ in range(n_steps):
         cloud = step(cloud, scenario, config)
         snaps.append(cloud.positions)
+    return np.array(snaps)
+
+
+def _series_matrix(a, dt, terms, offset):
+    """S_o(A) = sum_{k<K} A^k dt^(k+1+o) / (k+1+o)! as one (2, 2) matrix,
+    its powers formed explicitly: the movers' series kernel never does."""
+    s, power = np.zeros((2, 2)), np.eye(2)
+    for k in range(terms):
+        p = k + 1 + offset
+        s += power * (dt**p / math.factorial(p))
+        power = power @ a
+    return s
+
+
+def scheme_history(scenario, config, t_end):
+    """(n + 1, N, 2) positions: the start, then after each of the n steps of
+    ``plan_steps(t_end, config.dt)``, from each scheme's affine recurrence
+    on an affine field, derived apart from the movers. With v_n = A_n x_n +
+    b_n sampled from the field, dt the step's interval and h = config.dt
+    the level spacing, x_{n+1} - x_n is
+      m1  dt v_n
+      m2  dt v_n + (dt^2 / 2) (v_n - v_{n-1}) / h
+      m3  S_0(A_n) v_n
+      m4  dt v_n + (S_1(A_n) v_n - S_1(A_{n-1}) v_{n-1}) / h
+    The first step is the bootstrap's (m1 for m2, m3 for m4); only the
+    shortened last step has dt != h. A is the field's own Jacobian, as in
+    an analytic run; ``config.gradient_mode`` is not read."""
+    field, h, terms = scenario.field, config.dt, config.mover.terms
+    n_full, remainder = plan_steps(t_end, h)
+    x = sample_disc(scenario.disc_center, scenario.disc_radius, scenario.n_points)
+    snaps, prev = [x], None
+    for n, dt in enumerate([h] * n_full + ([remainder] if remainder > 0.0 else [])):
+        t = n * h
+        a, v = field.jacobian(t), field.evaluate(x, t)
+        name = config.mover.name if prev is not None else config.mover.bootstrap.name
+        if name == "m1":
+            disp = dt * v
+        elif name == "m2":
+            disp = dt * v + (dt**2 / 2) * (v - prev[1]) / h
+        elif name == "m3":
+            disp = v @ _series_matrix(a, dt, terms, 0).T
+        else:
+            s_now = v @ _series_matrix(a, dt, terms, 1).T
+            s_old = prev[1] @ _series_matrix(prev[0], dt, terms, 1).T
+            disp = dt * v + (s_now - s_old) / h
+        x, prev = x + disp, (a, v)
+        snaps.append(x)
     return np.array(snaps)
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -99,6 +101,35 @@ def test_run_subcommand_writes_outputs(tmp_path, capsys):
     assert payload["mover"] == "m3"
     assert payload["eps_dia"] < 1e-6
     assert "eps_dia" in capsys.readouterr().out
+
+
+def test_run_summary_keys_and_values(tmp_path):
+    summary = tmp_path / "run.json"
+    assert cli.main(["run", "--mover", "m2", "--dt", "0.1", "--t-end", "0.55", "--summary", str(summary)]) == 0
+    payload = json.loads(summary.read_text())
+    assert list(payload) == ["scenario", "mover", "dt", "t_end", "eps_dia", "eps_x", "eps_V"]
+    config = scenarios.RunConfig(mover=movers.MoverKind("m2"), dt=0.1)
+    final = scenarios.run(scenarios.make_scenario("rotation", t_end=0.55), config)[-1]
+    want = {"scenario": "rotation", "mover": "m2", "dt": 0.1, "t_end": 0.55}
+    assert payload == want | {"eps_dia": final.eps_dia, "eps_x": final.eps_x, "eps_V": final.eps_V}
+
+
+def test_sweep_summary_is_the_cells(tmp_path):
+    # 200 terms overflow the series' coefficients, so every m3 and m4 cell fails
+    summary = tmp_path / "sweep.json"
+    argv = ["sweep", "--terms", "200", "--dts", "0.2,0.1", "--t-end", "1.0", "--n-points", "60"]
+    assert cli.main(argv + ["--summary", str(summary)]) == 0
+    base = scenarios.RunConfig(mover=movers.MoverKind("m1", 200), dt=0.2)
+    cells = scenarios.convergence_sweep(scenarios.make_scenario("rotation", 60, 1.0), base, [0.2, 0.1])
+    payload = json.loads(summary.read_text())
+    names = [f.name for f in dataclasses.fields(scenarios.SweepCell)]
+    assert [list(c) for c in payload] == [names] * 8
+    assert [c["failed"] for c in payload] == [False] * 4 + [True] * 4
+    assert all(c["error"].startswith("NumericInputError: series coefficient") for c in payload[4:])
+    for got, cell in zip(payload, cells, strict=True):
+        for name in names:
+            want = getattr(cell, name)
+            assert got[name] == want or (math.isnan(got[name]) and math.isnan(want)), (name, got, cell)
 
 
 def test_run_csv_byte_identical(tmp_path):

@@ -30,7 +30,7 @@ from lagmove.scenarios import (
     sample_disc,
     step,
 )
-from lagmove.validate import position_history
+from lagmove.validate import position_history, scheme_history
 
 
 def config(mover="m1", dt=0.05, **kw):
@@ -215,6 +215,23 @@ def test_short_step_keeps_history_spacing():
     v, v_prev = cloud.velocities, cloud.velocities_prev
     expected = v * dt_s + 0.5 * (v - v_prev) / 0.05 * dt_s**2
     assert np.allclose(out.positions - cloud.positions, expected, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("mover", movers.MOVER_NAMES)
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_step_follows_the_scheme_recurrence(name, mover):
+    # 40 steps of 0.05 and a shortened one of 0.03, through the bootstrap
+    sc, cfg, t_end = make_scenario(name), config(mover, dt=0.05), 2.03
+    n_full, remainder = plan_steps(t_end, cfg.dt)
+    cloud = initial_cloud(sc, cfg)
+    got = [cloud.positions]
+    for dt in [None] * n_full + [remainder]:
+        cloud = step(cloud, sc, cfg, dt)
+        got.append(cloud.positions)
+    want = scheme_history(sc, cfg, t_end)
+    assert want.shape == (42, sc.n_points, 2)
+    err = np.abs(np.array(got) - want).max(axis=(1, 2))
+    assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(want).max(axis=(1, 2)))), err.max()
 
 
 @pytest.mark.parametrize("history", [False, True], ids=["fresh", "history"])
