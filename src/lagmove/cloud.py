@@ -1,12 +1,16 @@
 """Point-cloud state: positions, kinematic history and bookkeeping.
 
 Storage is structure-of-arrays: one (N, 2) array per per-point field,
-row i of each belonging to point i. Operations return new clouds; arrays
-of the input are never mutated. The cloud is the one state of a step:
-``scenarios`` drives it and the movers read their inputs from it. A step
-builds its next cloud once, with ``advance_history``: the moved positions
-and the velocity level sampled there. Each array is checked once, where it
-enters (``make_cloud``, ``advance_history``), so its readers trust it.
+row i of each belonging to point i. A run's positions, velocities and m4
+series are column-major (Fortran order) from ``scenarios.initial_cloud``
+on, each column one contiguous run, and every kernel allocates its result
+like its input, so the layout holds through every step without a
+conversion. Operations return new clouds; arrays of the input are never
+mutated. The cloud is the one state of a step: ``scenarios`` drives it
+and the movers read their inputs from it. A step builds its next cloud
+once, with ``advance_history``: the moved positions and the velocity level
+sampled there. Each array is checked once, where it enters
+(``make_cloud``, ``advance_history``), so its readers trust it.
 Clouds only read their arrays, so a gradient may be a read-only view: an
 analytic run's gradients are the views ``fields.gradient`` builds, one
 (2, 2) matrix broadcast to (N, 2, 2); a numeric run's are full (N, 2, 2)
@@ -79,8 +83,8 @@ def make_cloud(
     positions = np.asarray(positions, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
     grad_velocities = np.asarray(grad_velocities, dtype=float)
-    # the zero level is C-ordered: zeros_like keeps a broadcast gradient's
-    # strided layout, which the finite scan would copy whole
+    # the zero level, which no mover reads, is C-ordered: zeros_like would
+    # lay a broadcast gradient's copy out with the point axis innermost
     cloud = PointCloud(
         positions=positions,
         velocities=velocities,

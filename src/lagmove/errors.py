@@ -61,7 +61,9 @@ def check_points(
     overflow warning, where ``np.dot`` and ``@`` do. Integers are finite.
     Every row of an array whose row stride is 0 (a ``np.broadcast_to``
     view) is its first row, so only that row is scanned: ``np.vdot`` would
-    copy the whole view first.
+    copy the whole view first. The scan reads ``ravel("K")``, the entries
+    in memory order: a view of any contiguous array, where ``np.vdot``
+    would copy a column-major one into row order.
     """
     tail = (2, 2) if gradient else (2,)
     if not isinstance(x, np.ndarray) or x.dtype.kind not in "iuf":
@@ -73,7 +75,7 @@ def check_points(
     if len(x) == 0 or (rows is not None and len(x) != rows):
         raise StructuralError(f"{what} has {len(x)} rows, expected {rows or 'at least 1'}")
     if finite and x.dtype.kind == "f":
-        scanned = x[:1] if x.strides[0] == 0 else x
+        scanned = (x[:1] if x.strides[0] == 0 else x).ravel("K")
         if not math.isfinite(np.vdot(scanned, scanned)) and not np.isfinite(scanned).all():
             raise NumericInputError(f"{what} contains non-finite entries")
     return x

@@ -7,9 +7,9 @@ matrix, and ``gradient`` returns it broadcast to (N, 2, 2), a read-only
 view with row stride 0. That view is what an analytic run installs; a
 numeric run installs the full (N, 2, 2) arrays of the WLSQ fit. Positions
 are checked by shape only: the stepping code scans what fields return.
-Every call returns fresh memory; both rotations share one matmul-free
-kernel. Exact gradients separate integrator error from reconstruction
-error.
+Every call returns fresh memory, laid out like ``x`` (a run's positions
+are column-major); both rotations share one matmul-free kernel. Exact
+gradients separate integrator error from reconstruction error.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ def _rotate(x: np.ndarray, center: tuple[float, float], rate: float) -> np.ndarr
     """rate * (cy - y, x - cx). Negation and scaling are exact, so this is
     rate * (x - center) times the transposed ``_ROT90``, bit for bit."""
     cx, cy = center
-    out = np.empty(x.shape)
+    out = np.empty_like(x, dtype=float)
     np.subtract(cy, x[:, 1], out=out[:, 0], dtype=float)
     np.subtract(x[:, 0], cx, out=out[:, 1], dtype=float)
     return np.multiply(out, rate, out=out)
@@ -69,8 +69,10 @@ class Lissajous(_AffineField):
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
-        v = np.array([15.0 * np.cos(5.0 * t + np.pi / 2.0), 4.0 * np.cos(4.0 * t)])
-        return v[None].repeat(x.shape[0], axis=0)
+        out = np.empty_like(x, dtype=float)   # by column: a row-wise fill of C order is 6x slower
+        out[:, 0] = 15.0 * np.cos(5.0 * t + np.pi / 2.0)
+        out[:, 1] = 4.0 * np.cos(4.0 * t)
+        return out
 
     def jacobian(self, t: float) -> np.ndarray:
         return np.zeros((2, 2))
@@ -105,7 +107,11 @@ class LinearField(_AffineField):
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
-        return x @ self.jacobian(t).T + np.asarray(self.b, dtype=float)
+        # one matmul into memory laid out like x: BLAS may fuse its multiply-add,
+        # so a product per column could differ from x @ A.T in the last bit
+        out = np.matmul(x, self.jacobian(t).T, out=np.empty_like(x, dtype=float))
+        out += self.b
+        return out
 
 
 @dataclass(frozen=True)

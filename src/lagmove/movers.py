@@ -16,7 +16,8 @@ The movers read both levels from a ``PointCloud``, checked when they were
 installed, and integrate over ``dt``; backward differences span the levels'
 spacing ``cloud.dt``. Velocities are (N, 2), gradients (N, 2, 2). The series
 kernel works on components: each matrix-vector product is four elementwise
-multiply-adds over the point axis.
+multiply-adds over the point axis, and its result is laid out like ``v``: a
+run's column-major velocities give contiguous columns.
 """
 from __future__ import annotations
 
@@ -108,7 +109,7 @@ def exp_series_apply(
     grad = check_points(np.asarray(grad, dtype=float), "grad", len(v), gradient=True, finite=False)
     g00, g01, g10, g11 = grad[:, 0, 0], grad[:, 0, 1], grad[:, 1, 0], grad[:, 1, 1]
     w0, w1 = v[:, 0], v[:, 1]
-    out = np.empty((len(v), 2))
+    out = np.empty_like(v)
     out0, out1 = out[:, 0], out[:, 1]
     np.multiply(coeffs[0], w0, out=out0)
     np.multiply(coeffs[0], w1, out=out1)

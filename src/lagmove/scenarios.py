@@ -159,7 +159,10 @@ def _field_state(scenario: Scenario, config: RunConfig, positions, t):
 
 
 def initial_cloud(scenario: Scenario, config: RunConfig) -> PointCloud:
-    positions = sample_disc(scenario.disc_center, scenario.disc_radius, scenario.n_points)
+    # column-major; every kernel allocates like its input, so this sets the run's layout
+    positions = np.asfortranarray(
+        sample_disc(scenario.disc_center, scenario.disc_radius, scenario.n_points)
+    )
     v, g = _field_state(scenario, config, positions, 0.0)
     return make_cloud(positions, v, g, dt=config.dt)
 

@@ -24,7 +24,7 @@ def test_advance_shifts_history():
 
 
 def test_zero_level_of_a_broadcast_gradient_is_c_ordered():
-    # the finite scan would copy a zero level laid out like the broadcast view
+    # zeros_like would lay the zero level out like the view, point axis innermost
     g = np.broadcast_to(np.eye(2), (5, 2, 2))
     cloud = make_cloud(np.zeros((5, 2)), np.ones((5, 2)), g, dt=0.1)
     assert cloud.grad_velocities is g

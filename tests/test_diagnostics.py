@@ -38,6 +38,8 @@ def test_centroid_is_the_row_order_mean_bit_for_bit(n):
     rng = np.random.default_rng(n)
     pos = rng.normal(size=(n, 2)) * 300.0 + [7.0, -3.0]
     assert np.array_equal(centroid(pos), pos.mean(axis=0))
+    # a run's column-major positions: cumsum still sums each column in row order
+    assert np.array_equal(centroid(np.asfortranarray(pos)), pos.mean(axis=0))
 
 
 def test_centroid_translates_exactly():

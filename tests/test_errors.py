@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -189,3 +190,15 @@ def test_broadcast_finite_check_reads_one_row(monkeypatch):
     check_points(np.broadcast_to(np.eye(2), (n, 2, 2)), "g", n, gradient=True)
     check_points(np.ones((n, 2, 2)), "g", n, gradient=True)
     assert scanned == [4, 4 * n]
+
+
+def test_finite_check_of_a_column_major_array_copies_nothing():
+    # np.vdot flattens in row order, so it would copy a Fortran-ordered array whole
+    x = np.asfortranarray(np.random.default_rng(0).normal(size=(100_000, 2)))
+    tracemalloc.start()
+    try:
+        check_points(x, "x", len(x))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak

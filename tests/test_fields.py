@@ -149,6 +149,21 @@ def test_results_are_fresh_arrays(field):
     assert not np.shares_memory(first, field.gradient(x, 0.4))
 
 
+@pytest.mark.parametrize("n", [1, 7, 2_000])
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+def test_every_field_keeps_its_input_layout(field, n):
+    # a run's positions are column-major; a field's velocities must stay so
+    rng = np.random.default_rng(n)
+    for x in (rng.uniform(-2.0, 2.0, size=(n, 2)), rng.integers(-3, 4, size=(n, 2))):
+        c_out = field.evaluate(x, 0.7)
+        f_out = field.evaluate(np.asfortranarray(x), 0.7)
+        assert c_out.dtype == f_out.dtype == float
+        if n > 1:   # a single row is both layouts at once
+            assert c_out.flags.c_contiguous and not c_out.flags.f_contiguous
+            assert f_out.flags.f_contiguous and not f_out.flags.c_contiguous
+        assert np.array_equal(c_out, f_out)
+
+
 @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
 def test_jacobian_is_fresh_and_every_row_of_the_gradient(field):
     x = np.random.default_rng(6).uniform(-1.0, 1.0, size=(6, 2))

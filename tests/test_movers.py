@@ -154,6 +154,10 @@ def test_series_same_bits_on_broadcast_gradient(name, offset, n):
     v = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
     full = exp_series_apply(jac[None].repeat(n, axis=0), v, 0.05, 5, offset)
     assert np.array_equal(exp_series_apply(np.broadcast_to(jac, (n, 2, 2)), v, 0.05, 5, offset), full)
+    # a run's velocities are column-major: the series keeps that layout and its bits
+    column_major = exp_series_apply(np.broadcast_to(jac, (n, 2, 2)), np.asfortranarray(v), 0.05, 5, offset)
+    assert full.flags.c_contiguous and column_major.flags.f_contiguous
+    assert np.array_equal(column_major, full)
 
 
 @pytest.mark.parametrize(

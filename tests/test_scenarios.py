@@ -19,6 +19,7 @@ from lagmove.movers import MoverKind
 from lagmove.neighbors import build_index
 from lagmove.scenarios import (
     MAX_STEPS,
+    PAPER_N,
     SCENARIOS,
     RunConfig,
     Scenario,
@@ -280,6 +281,32 @@ def test_run_installs_broadcast_analytic_and_full_numeric_gradients(monkeypatch,
             assert g.strides[0] == 0 and not g.flags.writeable
         else:
             assert g.flags.c_contiguous and g.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("mode", ["analytic", "numeric"])
+def test_run_stays_column_major(monkeypatch, mode, name):
+    # every kernel allocates like its input, so the layout initial_cloud sets holds
+    installed = []
+    advance = scenarios.advance_history
+
+    def recorded(cloud, positions, velocities, gradients, series=None):
+        installed.append((positions, velocities, series))
+        return advance(cloud, positions, velocities, gradients, series)
+
+    monkeypatch.setattr(scenarios, "advance_history", recorded)
+    sc = make_scenario(name, t_end=0.27)   # 5 full steps and a shortened one
+    cfg = config("m4", dt=0.05, gradient_mode=mode)
+    first = initial_cloud(sc, cfg)
+    run(sc, cfg)
+    assert len(installed) == 6
+    assert installed[0][2] is None   # the first step is m3's: no series
+    arrays = [first.positions, first.velocities]
+    for positions, velocities, series in installed:
+        arrays += [positions, velocities] + ([] if series is None else [series.values])
+    assert len(arrays) == 2 + 6 * 2 + 5
+    for a in arrays:
+        assert a.shape == (PAPER_N, 2) and a.flags.f_contiguous and not a.flags.c_contiguous
 
 
 class GradientSpy:
