@@ -13,8 +13,9 @@ sampled there. Each array is checked once, where it enters
 (``make_cloud``, ``advance_history``), so its readers trust it.
 Clouds only read their arrays, so a gradient may be a read-only view: an
 analytic run's gradients are the views ``fields.gradient`` builds, one
-(2, 2) matrix broadcast to (N, 2, 2); a numeric run's are full (N, 2, 2)
-arrays.
+(2, 2) matrix broadcast to (N, 2, 2), whose series the movers apply as one
+(2, 2) matrix; a numeric run's are full (N, 2, 2) arrays, whose series
+they evaluate row by row.
 
 Besides the two velocity levels the cloud carries ``series_prev``, the m4
 mover's series of the previous level, tagged with its dt and term count.

@@ -18,6 +18,14 @@ spacing ``cloud.dt``. Velocities are (N, 2), gradients (N, 2, 2). The series
 kernel works on components: each matrix-vector product is four elementwise
 multiply-adds over the point axis, and its result is laid out like ``v``: a
 run's column-major velocities give contiguous columns.
+
+m3 and m4 take each level's series from ``apply_series``. The series is
+linear in v, so where every point shares one gradient matrix (a row stride
+of 0, as in an analytic run) it is one (2, 2) matrix S applied to every
+point: the kernel runs on that matrix and the two unit rows, which gives
+S^T, and one matmul applies it. That differs from the per-row kernel only
+at rounding level. A full gradient, such as a numeric run's, goes to the
+kernel row by row.
 """
 from __future__ import annotations
 
@@ -42,6 +50,9 @@ MOVER_NAMES = ("m1", "m2", "m3", "m4")
 # (dt, terms, offset) triples whose series coefficients are kept; the
 # paper's sweep uses 16 (offsets 0 and 1 at 4 dts and 4 shortened dts)
 SERIES_COEFFICIENTS_CACHED = 64
+# e_0 and e_1 as rows: the series of one gradient matrix on them is S^T
+_UNIT_ROWS = np.eye(2)
+_UNIT_ROWS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -124,6 +135,21 @@ def exp_series_apply(
     return out
 
 
+def apply_series(grad: np.ndarray, v: np.ndarray, dt: float, terms: int, offset: int) -> np.ndarray:
+    """``exp_series_apply(grad, v, dt, terms, offset)`` for a cloud's level.
+
+    When ``grad`` has row stride 0, every row is one matrix G and the series
+    is S v with S = sum_k c_k G^k. The kernel on G and the two unit rows
+    returns S^T (row k is S e_k), and ``v @ S^T`` applies it, laid out like
+    ``v``. Any other gradient goes to the kernel as it is.
+    """
+    if grad.strides[0] != 0:
+        return exp_series_apply(grad, v, dt, terms, offset)
+    two_rows = grad[:2] if len(grad) > 1 else grad[[0, 0]]    # a 1-row view has 1 row to slice
+    s_t = exp_series_apply(two_rows, _UNIT_ROWS, dt, terms, offset)
+    return np.matmul(v, s_t, out=np.empty_like(v))
+
+
 def move_m1(cloud: PointCloud, dt: float) -> np.ndarray:
     return cloud.velocities * dt
 
@@ -135,7 +161,7 @@ def move_m2(cloud: PointCloud, dt: float) -> np.ndarray:
 
 
 def move_m3(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS) -> np.ndarray:
-    return exp_series_apply(cloud.grad_velocities, cloud.velocities, dt, terms, offset=0)
+    return apply_series(cloud.grad_velocities, cloud.velocities, dt, terms, 0)
 
 
 def move_m4(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS):
@@ -145,12 +171,12 @@ def move_m4(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS):
     computed with this ``dt`` and term count, and computed otherwise.
     """
     _require_history(cloud, "m4")
-    s_now = exp_series_apply(cloud.grad_velocities, cloud.velocities, dt, terms, offset=1)
+    s_now = apply_series(cloud.grad_velocities, cloud.velocities, dt, terms, 1)
     old = cloud.series_prev
     if old is not None and old.dt == dt and old.terms == terms:
         s_old = old.values
     else:
-        s_old = exp_series_apply(cloud.grad_velocities_prev, cloud.velocities_prev, dt, terms, 1)
+        s_old = apply_series(cloud.grad_velocities_prev, cloud.velocities_prev, dt, terms, 1)
     disp = s_now - s_old       # a new array: s_now is the next step's s_old
     disp /= cloud.dt
     disp += cloud.velocities * dt

@@ -11,7 +11,9 @@ velocities) at the new positions and time, and install both as the next
 cloud. Movement always happens before the velocity update. Every field
 is affine, so an analytic gradient is the view ``field.gradient`` builds:
 its (2, 2) Jacobian broadcast to a read-only (N, 2, 2) view whose rows
-share memory. A numeric gradient is a full (N, 2, 2) array. The
+share memory. m3 and m4 apply the series of such a view as one (2, 2)
+matrix, which differs from the per-row series only at rounding level. A
+numeric gradient is a full (N, 2, 2) array, whose series is per row. The
 ``PointCloud`` is the one state of a step: the movers read it, the other
 kernels take arrays.
 """

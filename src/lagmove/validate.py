@@ -2,7 +2,9 @@
 
 Each check takes no argument, is deterministic and returns (passed,
 detail); acceptance criteria 1, 6, 8 and 10 run the same functions. The
-other public functions are oracles the tests share.
+finite-difference and scheme-recurrence checks take the worst of a per-case
+function that the tests run case by case. The other public functions are
+oracles the tests share.
 """
 from __future__ import annotations
 
@@ -27,6 +29,8 @@ FIELDS = {
 }
 # correct code's worst mismatch is 5.6e-10 (linear), so a gradient 1e-7 off fails
 FD_GRADIENT_BOUND = 1e-8
+# relative step error of a run against its scheme's exact recurrence
+SCHEME_RECURRENCE_BOUND = 1e-14
 
 
 def fd_jacobian(field, x, t, eps=1e-6):
@@ -119,6 +123,23 @@ def scheme_history(scenario, config, t_end):
     return np.array(snaps)
 
 
+def scheme_recurrence_error(name, mover) -> float:
+    """Largest gap between ``step`` and ``scheme_history`` over one run of
+    scenario ``name`` with ``mover``: 40 steps of 0.05 and a shortened one
+    of 0.03, through the bootstrap. Each step's gap is its largest
+    coordinate difference over max(1, its largest exact coordinate)."""
+    scenario, config, t_end = make_scenario(name), RunConfig(mover=movers.MoverKind(mover), dt=0.05), 2.03
+    n_full, remainder = plan_steps(t_end, config.dt)
+    cloud = initial_cloud(scenario, config)
+    got = [cloud.positions]
+    for dt in [None] * n_full + [remainder]:
+        cloud = step(cloud, scenario, config, dt)
+        got.append(cloud.positions)
+    want = scheme_history(scenario, config, t_end)
+    err = np.abs(np.array(got) - want).max(axis=(1, 2))
+    return float((err / np.maximum(1.0, np.abs(want).max(axis=(1, 2)))).max())
+
+
 def check_reduction_identities():
     """m3 and m4 equal m1 and m2 where the gradient vanishes: the Lissajous
     translation over 60 steps of ``step``, relative to the largest coordinate."""
@@ -158,6 +179,15 @@ def check_series_oracle():
         worst_rel = max(worst_rel, np.linalg.norm(k20 - exact) / max(np.linalg.norm(exact), 1e-300))
     detail = f"worst tail-bound slack {worst_slack:.3e}, K=20 vs expm relative error {worst_rel:.3e}"
     return worst_slack <= 0.0 and worst_rel <= 1e-12, detail
+
+
+def check_scheme_recurrence():
+    """Every scenario under every mover follows its scheme's affine recurrence
+    (a NaN error fails, wherever it falls in the order)."""
+    errors = {(name, m): scheme_recurrence_error(name, m) for name in SCENARIOS for m in movers.MOVER_NAMES}
+    worst = max(errors, key=errors.get)
+    detail = f"max step error {errors[worst]:.3e} relative ({'/'.join(worst)}), bound {SCHEME_RECURRENCE_BOUND:g}"
+    return all(e <= SCHEME_RECURRENCE_BOUND for e in errors.values()), detail
 
 
 def _stencil_conditions(pos, index, h):
@@ -213,6 +243,7 @@ ALL_CHECKS = (
     ("series-vs-oracle", check_series_oracle),
     ("wlsq-linear-exactness", check_wlsq_exactness),
     ("neighbor-search-vs-brute-force", check_neighbor_oracle),
+    ("scheme-recurrence", check_scheme_recurrence),
 )
 
 

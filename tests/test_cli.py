@@ -202,6 +202,7 @@ PLANTED_FAULTS = {
     "reduction-identities": (movers, "move_m3", scaled_by(1 + 1e-9)),
     "field-gradients-vs-finite-differences": (RigidRotation, "gradient", scaled_by(1 + 1e-7)),
     "field-gradients-vs-finite-differences/jacobian": (RigidRotation, "jacobian", scaled_by(1 + 1e-7)),
+    "scheme-recurrence": (movers, "apply_series", scaled_by(1 + 1e-9)),
 }
 
 

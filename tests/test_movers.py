@@ -10,6 +10,7 @@ from lagmove.errors import HistoryMissingError, NumericInputError, StructuralErr
 from lagmove.movers import (
     MOVER_NAMES,
     MoverKind,
+    apply_series,
     displacement,
     exp_series_apply,
     move_m1,
@@ -18,7 +19,7 @@ from lagmove.movers import (
     move_m4,
 )
 from lagmove.scenarios import SCENARIOS
-from lagmove.validate import phi1_expm
+from lagmove.validate import FIELDS, phi1_expm
 
 
 def cloud_of(v_n, v_prev=None, grad_n=None, grad_prev=None, dt=0.1, has_history=True):
@@ -160,6 +161,28 @@ def test_series_same_bits_on_broadcast_gradient(name, offset, n):
     assert np.array_equal(column_major, full)
 
 
+@pytest.mark.parametrize("n", [1, 2, 222, 20_000])
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_uniform_series_matches_the_kernel(name, offset, n):
+    # the field's own stride-0 view takes the one-matrix path: the kernel's
+    # S^T from the two unit rows, then v @ S^T, within rounding of the kernel
+    grad, unit = (FIELDS[name].gradient(np.zeros((rows, 2)), 0.7) for rows in (n, 2))
+    assert grad.strides[0] == unit.strides[0] == 0
+    # on the two unit rows, the matmul by S^T reproduces the kernel's S^T exactly
+    s_t = exp_series_apply(unit, np.eye(2), 0.05, 5, offset)
+    assert np.array_equal(apply_series(unit, np.eye(2), 0.05, 5, offset), s_t)
+    norm_s = np.abs(s_t).sum(axis=0).max()    # max row sum of S
+    v = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        vl = layout(v)
+        got, want = apply_series(grad, vl, 0.05, 5, offset), exp_series_apply(grad, vl, 0.05, 5, offset)
+        assert got.flags.c_contiguous == vl.flags.c_contiguous
+        assert got.flags.f_contiguous == vl.flags.f_contiguous
+        bound = 4 * np.finfo(float).eps * norm_s * np.abs(v).max(axis=1)
+        assert np.all(np.abs(got - want).max(axis=1) <= bound)
+
+
 @pytest.mark.parametrize(
     "grad_shape, v_shape", [((4, 3, 3), (4, 2)), ((4, 2, 2), (3, 2))], ids=["dim", "rows"]
 )
@@ -247,6 +270,8 @@ def test_m4_combination_and_series_bits():
     s_old = exp_series_apply(g_prev, v_prev, 0.05, 5, offset=1)
     assert np.array_equal(series.values, s_now)
     assert np.array_equal(disp, v * 0.05 + (s_now - s_old) / 0.07)
+    # a full gradient's series is the kernel's, row by row, in m3 too
+    assert np.array_equal(move_m3(cloud, 0.05), exp_series_apply(g, v, 0.05, 5, offset=0))
 
 
 @pytest.mark.parametrize(

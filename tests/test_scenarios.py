@@ -31,7 +31,7 @@ from lagmove.scenarios import (
     sample_disc,
     step,
 )
-from lagmove.validate import position_history, scheme_history
+from lagmove.validate import SCHEME_RECURRENCE_BOUND, position_history, scheme_recurrence_error
 
 
 def config(mover="m1", dt=0.05, **kw):
@@ -222,17 +222,7 @@ def test_short_step_keeps_history_spacing():
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_step_follows_the_scheme_recurrence(name, mover):
     # 40 steps of 0.05 and a shortened one of 0.03, through the bootstrap
-    sc, cfg, t_end = make_scenario(name), config(mover, dt=0.05), 2.03
-    n_full, remainder = plan_steps(t_end, cfg.dt)
-    cloud = initial_cloud(sc, cfg)
-    got = [cloud.positions]
-    for dt in [None] * n_full + [remainder]:
-        cloud = step(cloud, sc, cfg, dt)
-        got.append(cloud.positions)
-    want = scheme_history(sc, cfg, t_end)
-    assert want.shape == (42, sc.n_points, 2)
-    err = np.abs(np.array(got) - want).max(axis=(1, 2))
-    assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(want).max(axis=(1, 2)))), err.max()
+    assert scheme_recurrence_error(name, mover) <= SCHEME_RECURRENCE_BOUND
 
 
 @pytest.mark.parametrize("history", [False, True], ids=["fresh", "history"])
@@ -392,16 +382,16 @@ def test_modulated_rotation_trajectory_ordering():
 
 
 def series_calls(monkeypatch) -> list:
-    """The offset of each ``exp_series_apply`` call from here on."""
-    offsets = []
+    """The rows of ``v`` in each ``exp_series_apply`` call from here on."""
+    rows = []
     original = movers.exp_series_apply
 
     def counted(grad, v, dt, terms, offset=0):
-        offsets.append(offset)
+        rows.append(len(v))
         return original(grad, v, dt, terms, offset)
 
     monkeypatch.setattr(movers, "exp_series_apply", counted)
-    return offsets
+    return rows
 
 
 @pytest.mark.parametrize("t_end, calls", [(1.0, 21), (1.02, 23)], ids=["whole", "short-last"])
@@ -409,9 +399,20 @@ def test_m4_series_calls_per_run(monkeypatch, t_end, calls):
     # bootstrap m3: 1 call; first m4 step: 2; every later m4 step: 1, as
     # the old level's series is the last step's new one; the short last
     # step uses another dt, so it computes both
-    offsets = series_calls(monkeypatch)
+    seen = series_calls(monkeypatch)
     run(make_scenario("modulated-rotation", t_end=t_end), config("m4", dt=0.05))
-    assert len(offsets) == calls
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("mode, rows", [("analytic", 2), ("numeric", PAPER_N)])
+def test_series_rows_per_gradient_mode(monkeypatch, mode, rows):
+    # an analytic run's shared (stride-0) gradient gets its series matrix from
+    # the kernel on the two unit rows; a numeric run's full gradient, per row
+    seen = series_calls(monkeypatch)
+    for mover in ("m3", "m4"):
+        run(make_scenario("modulated-rotation", t_end=0.27), config(mover, dt=0.05, gradient_mode=mode))
+    # m3: one call a step; m4: 1 + 2 + 1 + 1 + 1 + 2 (bootstrap, first step, short last step)
+    assert len(seen) == 6 + 8 and set(seen) == {rows}
 
 
 def m4_cloud(sc, cfg, steps=3):
