@@ -14,7 +14,8 @@ sign), so the 3 unique normal-matrix entries and 4 right-hand-side entries
 are computed once per pair and summed onto both rows. The 2 x 2 systems
 are solved in closed form: condition lambda_max / |lambda_min| =
 lambda_max^2 / |det|, and the adjugate inverse. ``wlsq_gradient`` fits a
-single point with LAPACK and is kept as its oracle.
+single point with LAPACK and is kept as its oracle; where ``all_gradients``
+zeroes a failing stencil's row, it raises.
 
 Both take finite (N, 2) position and velocity arrays; the cloud is the
 driver's state.
@@ -94,16 +95,13 @@ def wlsq_gradient(
 
 
 def all_gradients(
-    positions: np.ndarray, velocities: np.ndarray, index: NeighborIndex,
-    smoothing_length: float, *, zero_fallback: bool = True,
+    positions: np.ndarray, velocities: np.ndarray, index: NeighborIndex, smoothing_length: float,
 ) -> np.ndarray:
     """Row-aligned (N, 2, 2) array of fitted gradients.
 
     Points with deficient or ill-conditioned stencils get a zero gradient
-    (and one warning each) when ``zero_fallback`` is set; the zero gradient
-    degrades the streamline movers to their gradient-free counterparts
-    locally, which is safe. Without it the error of the lowest failing row
-    is raised.
+    and one warning each; the zero gradient degrades the streamline movers
+    to their gradient-free counterparts locally, which is safe.
     """
     n = _check_inputs(positions, velocities, index, smoothing_length)
     i, j = index.pairs.T.copy()    # contiguous: take is ~5x slower on strided index columns
@@ -125,8 +123,5 @@ def all_gradients(
         adj = np.stack([c * pu - b * qu, a * qu - b * pu, c * pv - b * qv, a * qv - b * pv], axis=1)
         out = np.where(ok[:, None], adj / det[:, None], 0.0).reshape(n, 2, 2)
     for r in np.flatnonzero(~ok):
-        exc = _stencil_error(int(r), int(counts[r]), float(cond[r]))
-        if not zero_fallback:
-            raise exc
-        log.warning("gradient fallback to zero: %s", exc)
+        log.warning("gradient fallback to zero: %s", _stencil_error(int(r), int(counts[r]), float(cond[r])))
     return out

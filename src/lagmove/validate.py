@@ -1,7 +1,10 @@
 """Built-in self checks behind the ``validate`` CLI subcommand.
 
 Each check takes no argument, is deterministic and returns (passed,
-detail); acceptance criteria 1, 6, 8 and 10 run the same functions. The
+detail); acceptance criteria 1, 6, 8 and 10 run the same functions. A check
+runs the code a run runs: ``position_history`` is the one loop over
+``step``, on the run's own step plan, and the fit is the run's zero-fallback
+``gfdm.all_gradients``. A NaN in any case fails its check. The
 finite-difference and scheme-recurrence checks take the worst of a per-case
 function that the tests run case by case. The other public functions are
 oracles the tests share.
@@ -46,14 +49,14 @@ def fd_jacobian(field, x, t, eps=1e-6):
 
 def fd_gradient_error(field) -> float:
     """Largest entry of |closed-form gradient - central difference| over 100
-    draws (seed 42) of x in [-1, 1]^2 and t in [0, 10]."""
+    draws (seed 42) of x in [-1, 1]^2 and t in [0, 10]; NaN if any entry is."""
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(100):
         x = rng.uniform(-1.0, 1.0, size=2)
         t = rng.uniform(0.0, 10.0)
-        worst = max(worst, np.abs(field.gradient(x[None], t)[0] - fd_jacobian(field, x, t)).max())
-    return worst
+        worst = np.maximum(worst, np.abs(field.gradient(x[None], t)[0] - fd_jacobian(field, x, t)).max())
+    return float(worst)
 
 
 def phi1_expm(a, v, dt):
@@ -66,12 +69,15 @@ def phi1_expm(a, v, dt):
     return expm(aug)[:d, d]
 
 
-def position_history(scenario, config, n_steps):
-    """(n_steps + 1, N, 2) positions over ``n_steps`` calls of ``step`` from the initial cloud."""
+def position_history(scenario, config):
+    """(n + 1, N, 2) positions: the initial cloud, then after each of the n
+    calls of ``step`` that ``plan_steps(scenario.t_end, config.dt)`` gives,
+    the shortened last one included."""
+    n_full, remainder = plan_steps(scenario.t_end, config.dt)
     cloud = initial_cloud(scenario, config)
     snaps = [cloud.positions]
-    for _ in range(n_steps):
-        cloud = step(cloud, scenario, config)
+    for dt in [None] * n_full + ([remainder] if remainder > 0.0 else []):
+        cloud = step(cloud, scenario, config, dt)
         snaps.append(cloud.positions)
     return np.array(snaps)
 
@@ -87,9 +93,9 @@ def _series_matrix(a, dt, terms, offset):
     return s
 
 
-def scheme_history(scenario, config, t_end):
+def scheme_history(scenario, config):
     """(n + 1, N, 2) positions: the start, then after each of the n steps of
-    ``plan_steps(t_end, config.dt)``, from each scheme's affine recurrence
+    ``plan_steps(scenario.t_end, config.dt)``, from each scheme's affine recurrence
     on an affine field, derived apart from the movers. With v_n = A_n x_n +
     b_n sampled from the field, dt the step's interval and h = config.dt
     the level spacing, x_{n+1} - x_n is
@@ -101,7 +107,7 @@ def scheme_history(scenario, config, t_end):
     shortened last step has dt != h. A is the field's own Jacobian, as in
     an analytic run; ``config.gradient_mode`` is not read."""
     field, h, terms = scenario.field, config.dt, config.mover.terms
-    n_full, remainder = plan_steps(t_end, h)
+    n_full, remainder = plan_steps(scenario.t_end, h)
     x = sample_disc(scenario.disc_center, scenario.disc_radius, scenario.n_points)
     snaps, prev = [x], None
     for n, dt in enumerate([h] * n_full + ([remainder] if remainder > 0.0 else [])):
@@ -124,28 +130,22 @@ def scheme_history(scenario, config, t_end):
 
 
 def scheme_recurrence_error(name, mover) -> float:
-    """Largest gap between ``step`` and ``scheme_history`` over one run of
-    scenario ``name`` with ``mover``: 40 steps of 0.05 and a shortened one
-    of 0.03, through the bootstrap. Each step's gap is its largest
-    coordinate difference over max(1, its largest exact coordinate)."""
-    scenario, config, t_end = make_scenario(name), RunConfig(mover=movers.MoverKind(mover), dt=0.05), 2.03
-    n_full, remainder = plan_steps(t_end, config.dt)
-    cloud = initial_cloud(scenario, config)
-    got = [cloud.positions]
-    for dt in [None] * n_full + [remainder]:
-        cloud = step(cloud, scenario, config, dt)
-        got.append(cloud.positions)
-    want = scheme_history(scenario, config, t_end)
-    err = np.abs(np.array(got) - want).max(axis=(1, 2))
+    """Largest gap between ``position_history`` and ``scheme_history`` over
+    one run of scenario ``name`` with ``mover``: 40 steps of 0.05 and a
+    shortened one of 0.03, through the bootstrap. Each step's gap is its
+    largest coordinate difference over max(1, its largest exact coordinate)."""
+    scenario, config = make_scenario(name, t_end=2.03), RunConfig(mover=movers.MoverKind(mover), dt=0.05)
+    want = scheme_history(scenario, config)
+    err = np.abs(position_history(scenario, config) - want).max(axis=(1, 2))
     return float((err / np.maximum(1.0, np.abs(want).max(axis=(1, 2)))).max())
 
 
 def check_reduction_identities():
     """m3 and m4 equal m1 and m2 where the gradient vanishes: the Lissajous
-    translation over 60 steps of ``step``, relative to the largest coordinate."""
+    translation to t_end 3 in 60 steps of 0.05, relative to the largest coordinate."""
     scenario = make_scenario("lissajous")
     config = {m: RunConfig(mover=movers.MoverKind(m), dt=0.05) for m in movers.MOVER_NAMES}
-    hist = {m: position_history(scenario, c, 60) for m, c in config.items()}
+    hist = {m: position_history(scenario, c) for m, c in config.items()}
     scale = np.abs(hist["m1"]).max()
     d31 = np.abs(hist["m3"] - hist["m1"]).max() / scale
     d42 = np.abs(hist["m4"] - hist["m2"]).max() / scale
@@ -153,14 +153,17 @@ def check_reduction_identities():
 
 
 def check_field_gradients():
+    """Every field within ``FD_GRADIENT_BOUND``; the detail names a failing one, if any."""
     errors = {name: fd_gradient_error(field) for name, field in FIELDS.items()}
-    worst = max(errors, key=errors.get)
-    return errors[worst] <= FD_GRADIENT_BOUND, f"max gradient FD mismatch {errors[worst]:.3e} ({worst})"
+    worst = max(errors, key=lambda k: (not errors[k] <= FD_GRADIENT_BOUND, errors[k]))
+    detail = f"max gradient FD mismatch {errors[worst]:.3e} ({worst})"
+    return all(e <= FD_GRADIENT_BOUND for e in errors.values()), detail
 
 
 def check_series_oracle():
     """For 1000 draws of |A| <= 2 and dt in [0, 0.2): K = 5 within the bound
-    of its omitted terms of K = 20, and K = 20 within 1e-12 of the exact integral."""
+    of its omitted terms of K = 20, and K = 20 within 1e-12 of the exact
+    integral. The running maxima keep a NaN, which fails both bounds."""
     rng = np.random.default_rng(8)
     worst_slack, worst_rel = -np.inf, 0.0
     for _ in range(1000):
@@ -174,18 +177,18 @@ def check_series_oracle():
         k20 = movers.exp_series_apply(a[None], v[None], dt, 20)[0]
         # term k is at most ||A||^k dt^(k+1) / (k+1)! ||v||
         tail = np.linalg.norm(v) * sum(norm_a**k * dt ** (k + 1) / math.factorial(k + 1) for k in range(5, 25))
-        worst_slack = max(worst_slack, np.linalg.norm(k5 - k20) - tail)
+        worst_slack = np.maximum(worst_slack, np.linalg.norm(k5 - k20) - tail)
         exact = phi1_expm(a, v, dt)
-        worst_rel = max(worst_rel, np.linalg.norm(k20 - exact) / max(np.linalg.norm(exact), 1e-300))
+        worst_rel = np.maximum(worst_rel, np.linalg.norm(k20 - exact) / max(np.linalg.norm(exact), 1e-300))
     detail = f"worst tail-bound slack {worst_slack:.3e}, K=20 vs expm relative error {worst_rel:.3e}"
     return worst_slack <= 0.0 and worst_rel <= 1e-12, detail
 
 
 def check_scheme_recurrence():
-    """Every scenario under every mover follows its scheme's affine recurrence
-    (a NaN error fails, wherever it falls in the order)."""
+    """Every scenario under every mover follows its scheme's affine recurrence;
+    the detail names a failing case, a NaN one included, if there is one."""
     errors = {(name, m): scheme_recurrence_error(name, m) for name in SCENARIOS for m in movers.MOVER_NAMES}
-    worst = max(errors, key=errors.get)
+    worst = max(errors, key=lambda k: (not errors[k] <= SCHEME_RECURRENCE_BOUND, errors[k]))
     detail = f"max step error {errors[worst]:.3e} relative ({'/'.join(worst)}), bound {SCHEME_RECURRENCE_BOUND:g}"
     return all(e <= SCHEME_RECURRENCE_BOUND for e in errors.values()), detail
 
@@ -206,7 +209,8 @@ def check_wlsq_exactness():
     """Linear fields fitted on 50 clouds of 200 points at h = 0.55 (each row
     has at least 6 neighbours): each row's error within 1e-10 and within 100 x
     its rounding scale cond_i * eps * max|A|, so that a well-conditioned
-    stencil cannot hide an error behind the bound an ill-conditioned one needs."""
+    stencil cannot hide an error behind the bound an ill-conditioned one needs.
+    The fit is the run's: a fallen row's zero gradient fails its bound."""
     rng = np.random.default_rng(2024)
     h = 0.55
     worst, worst_ratio, fewest, ok = 0.0, 0.0, np.inf, True
@@ -215,12 +219,12 @@ def check_wlsq_exactness():
         a = rng.normal(size=(2, 2))
         b = rng.normal(size=2)
         index = neighbors.build_index(pos, h)
-        fitted = gfdm.all_gradients(pos, pos @ a.T + b, index, h, zero_fallback=False)
+        fitted = gfdm.all_gradients(pos, pos @ a.T + b, index, h)
         err = np.abs(fitted - a).max(axis=(1, 2))
         scale = _stencil_conditions(pos, index, h) * np.finfo(float).eps * np.abs(a).max()
         ok &= bool(np.all(err <= np.minimum(1e-10, 100.0 * scale)))
-        worst = max(worst, err.max())
-        worst_ratio = max(worst_ratio, (err / scale).max())
+        worst = np.maximum(worst, err.max())
+        worst_ratio = np.maximum(worst_ratio, (err / scale).max())
         fewest = min(fewest, index.neighbor_count().min())
     detail = f"max error {worst:.3e}, worst error/(cond eps max|A|) {worst_ratio:.2f}, bound 100"
     return ok and fewest >= 6, f"{detail}; fewest neighbours {fewest}"

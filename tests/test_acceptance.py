@@ -171,7 +171,7 @@ def test_criterion_9_unsteady_flow_ordering():
     rot = np.exp(1j * sc.field.angle(np.arange(n_steps + 1) * dt))
     traj = {}
     for m in ("m3", "m4"):
-        hist = position_history(sc, config(m, dt), n_steps)
+        hist = position_history(sc, config(m, dt))
         z = hist[..., 0] + 1j * hist[..., 1]
         traj[m] = np.abs(z - np.outer(rot, z[0])).max()
     elapsed = time.time() - t0

@@ -31,7 +31,7 @@ from lagmove.scenarios import (
     sample_disc,
     step,
 )
-from lagmove.validate import SCHEME_RECURRENCE_BOUND, position_history, scheme_recurrence_error
+from lagmove.validate import SCHEME_RECURRENCE_BOUND, scheme_recurrence_error
 
 
 def config(mover="m1", dt=0.05, **kw):
@@ -174,18 +174,6 @@ def test_single_step_composition():
     assert np.allclose(out.positions, [[1.0, 0.1]])
     assert np.allclose(out.velocities, sc.field.evaluate(np.array([[1.0, 0.1]]), 0.1))
     assert out.has_history
-
-
-def test_lissajous_m3_equals_m1_history():
-    sc = make_scenario("lissajous")
-    h1, h3 = (position_history(sc, config(m, dt=0.05), 60) for m in ("m1", "m3"))
-    assert np.abs(h3 - h1).max() <= 1e-13 * np.abs(h1).max()
-
-
-def test_lissajous_m4_equals_m2_history():
-    sc = make_scenario("lissajous")
-    h2, h4 = (position_history(sc, config(m, dt=0.05), 60) for m in ("m2", "m4"))
-    assert np.abs(h4 - h2).max() <= 1e-13 * np.abs(h2).max()
 
 
 def test_run_final_time_and_payload():
