@@ -17,6 +17,9 @@ analytic run's gradients are the views ``fields.gradient`` builds, one
 (2, 2) matrix; a numeric run's are full (N, 2, 2) arrays, whose series
 they evaluate row by row.
 
+A step-0 cloud holds one level and no history: its previous velocity
+and gradient levels are None until ``advance_history`` shifts the current
+ones in, so m2 and m4 bootstrap with m1 and m3 on the first step.
 Besides the two velocity levels the cloud carries ``series_prev``, the m4
 mover's series of the previous level, tagged with its dt and term count.
 The mover returns it for the current level, and ``advance_history`` shifts
@@ -44,12 +47,12 @@ class LevelSeries:
 
 @dataclass(frozen=True)
 class PointCloud:
-    positions: np.ndarray             # (N, 2)
-    velocities: np.ndarray            # (N, 2), current level
-    velocities_prev: np.ndarray       # (N, 2), previous level
-    grad_velocities: np.ndarray       # (N, 2, 2), current level
-    grad_velocities_prev: np.ndarray  # (N, 2, 2), previous level
-    dt: float                         # regular step: the spacing of the two levels
+    positions: np.ndarray                    # (N, 2)
+    velocities: np.ndarray                   # (N, 2), current level
+    velocities_prev: np.ndarray | None       # (N, 2), previous level: None until a step shifts a level in
+    grad_velocities: np.ndarray              # (N, 2, 2), current level
+    grad_velocities_prev: np.ndarray | None  # (N, 2, 2), previous level: None until a step shifts a level in
+    dt: float                                # regular step: the spacing of the two levels
     initial_time: float = 0.0
     step: int = 0
     series_prev: LevelSeries | None = None  # m4 series of the previous level
@@ -61,16 +64,8 @@ class PointCloud:
 
     @property
     def has_history(self) -> bool:
-        """Whether the previous level holds data: every step shifts one in."""
-        return self.step > 0
-
-    def validate(self) -> None:
-        n = len(check_points(self.positions, "positions"))
-        for name in ("velocities", "velocities_prev"):
-            check_points(getattr(self, name), name, n)
-        for name in ("grad_velocities", "grad_velocities_prev"):
-            check_points(getattr(self, name), name, n, gradient=True)
-        check_positive(self.dt, "dt")
+        """Whether a previous level exists: every step shifts one in."""
+        return self.velocities_prev is not None
 
 
 def make_cloud(
@@ -80,22 +75,19 @@ def make_cloud(
     *,
     dt: float,
 ) -> PointCloud:
-    """Build a fresh step-0 cloud (no history yet)."""
-    positions = np.asarray(positions, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    grad_velocities = np.asarray(grad_velocities, dtype=float)
-    # the zero level, which no mover reads, is C-ordered: zeros_like would
-    # lay a broadcast gradient's copy out with the point axis innermost
-    cloud = PointCloud(
+    """Build a fresh step-0 cloud: one level, and no history yet."""
+    positions = check_points(np.asarray(positions, dtype=float), "positions")
+    n = len(positions)
+    return PointCloud(
         positions=positions,
-        velocities=velocities,
-        velocities_prev=np.zeros(velocities.shape),
-        grad_velocities=grad_velocities,
-        grad_velocities_prev=np.zeros(grad_velocities.shape),
-        dt=dt,
+        velocities=check_points(np.asarray(velocities, dtype=float), "velocities", n),
+        velocities_prev=None,
+        grad_velocities=check_points(
+            np.asarray(grad_velocities, dtype=float), "grad_velocities", n, gradient=True
+        ),
+        grad_velocities_prev=None,
+        dt=check_positive(dt, "dt"),
     )
-    cloud.validate()
-    return cloud
 
 
 def advance_history(

@@ -2,11 +2,11 @@
 
 lagmove is 2-D. A point array (positions, velocities, displacements) is a
 numeric (N, 2) array with N >= 1, a gradient array is (N, 2, 2), a time
-step, length or radius is a finite positive real, and a count (points,
-series terms, output stride) is an integral number, not a bool, with a
-lower bound. ``check_points``, ``check_positive`` and ``check_count`` are
-the only places that decide this; every malformed input they meet raises a
-``StructuralError`` or one of its subclasses.
+step, length or radius is a finite positive real, not a bool, and a count
+(points, series terms, output stride) is an integral number, not a bool,
+with a lower bound. ``check_points``, ``check_positive`` and
+``check_count`` are the only places that decide this; every malformed
+input they meet raises a ``StructuralError`` or one of its subclasses.
 """
 import math
 import numbers
@@ -91,8 +91,8 @@ def check_count(x: int, what: str, minimum: int) -> int:
 
 
 def check_positive(x: float, what: str) -> float:
-    """``x`` itself, if it is a finite positive real."""
-    if type(x) is not float and not isinstance(x, numbers.Real):
+    """``x`` itself, if it is a finite positive real (not a bool)."""
+    if type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
         raise StructuralError(f"{what} must be a real number, not {type(x).__name__}")
     if not math.isfinite(x):
         raise NumericInputError(f"{what} must be finite, got {x}")

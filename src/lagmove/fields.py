@@ -55,6 +55,9 @@ class RigidRotation(_AffineField):
     center: tuple[float, float] = (0.0, 0.0)
     omega: float = 1.0
 
+    def __post_init__(self):
+        check_points(np.asarray([self.center]), "center")
+
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
         return _rotate(x, self.center, self.omega)
@@ -130,6 +133,9 @@ class ModulatedRotation(_AffineField):
     center: tuple[float, float] = (0.0, 0.0)
     omega0: float = 1.0
     modulation_freq: float = 0.5
+
+    def __post_init__(self):
+        check_points(np.asarray([self.center]), "center")
 
     def rate(self, t: float) -> float:
         return self.omega0 * (1.0 + 0.5 * np.sin(2.0 * np.pi * self.modulation_freq * t))

@@ -8,6 +8,7 @@ import pytest
 
 from lagmove import cli, gfdm, movers, neighbors, scenarios, validate
 from lagmove.diagnostics import DiagnosticsRecord
+from lagmove.errors import LagmoveError
 from lagmove.fields import Lissajous, RigidRotation
 
 
@@ -193,18 +194,22 @@ def scaled_by(factor):
 # "check" or "check/variant" -> (owner, attribute, fault wrapped around the
 # attribute); the finite-difference check resolves 1e-8, so its planted
 # faults are 1e-7. An analytic run reads the Jacobian, the check the
-# gradient. A NaN row plants NaN in a case that is not the first of its check.
+# gradient. A NaN row plants NaN in what the check reads; where the NaN
+# reaches a step's new positions, ``advance_history`` raises on it.
 PLANTED_FAULTS = {
     "neighbor-search-vs-brute-force": (neighbors, "build_index", dropping_first_pair),
     "wlsq-linear-exactness": (gfdm, "all_gradients", scaled_by(1 + 1e-9)),
     "wlsq-linear-exactness/fallback": (gfdm, "all_gradients", zeroing_first_row),
+    "wlsq-linear-exactness/nan": (gfdm, "all_gradients", scaled_by(np.nan)),
     "series-vs-oracle": (movers, "exp_series_apply", scaled_by(1 + 1e-9)),
     "series-vs-oracle/nan": (movers, "exp_series_apply", scaled_by(np.nan)),
     "reduction-identities": (movers, "move_m3", scaled_by(1 + 1e-9)),
+    "reduction-identities/nan": (movers, "move_m3", scaled_by(np.nan)),
     "field-gradients-vs-finite-differences": (RigidRotation, "gradient", scaled_by(1 + 1e-7)),
     "field-gradients-vs-finite-differences/jacobian": (RigidRotation, "jacobian", scaled_by(1 + 1e-7)),
     "field-gradients-vs-finite-differences/nan": (Lissajous, "gradient", scaled_by(np.nan)),
     "scheme-recurrence": (movers, "apply_series", scaled_by(1 + 1e-9)),
+    "scheme-recurrence/nan": (movers, "apply_series", scaled_by(np.nan)),
 }
 
 
@@ -213,7 +218,12 @@ def test_validate_detects_planted_fault(case, monkeypatch, capsys):
     check = case.split("/")[0]
     owner, attribute, fault = PLANTED_FAULTS[case]
     monkeypatch.setattr(owner, attribute, fault(getattr(owner, attribute)))
-    ok, detail = dict(validate.ALL_CHECKS)[check]()
+    # the faulted check alone: test_validate_subcommand_passes runs all six
+    monkeypatch.setattr(validate, "ALL_CHECKS", tuple(c for c in validate.ALL_CHECKS if c[0] == check))
+    try:
+        ok, detail = dict(validate.ALL_CHECKS)[check]()
+    except LagmoveError as exc:   # validate reports a raising check as failed
+        ok, detail = False, f"raised {type(exc).__name__}: {exc}"
     assert not ok, detail
     assert cli.main(["validate"]) == 3
     assert f"FAIL  {check}: {detail}" in capsys.readouterr().out.splitlines()

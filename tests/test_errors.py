@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from lagmove.errors import (
     check_points,
     check_positive,
 )
+from lagmove.fields import ModulatedRotation, RigidRotation
 from lagmove.gfdm import all_gradients
 from lagmove.movers import MoverKind, exp_series_apply
 from lagmove.neighbors import build_index
@@ -56,7 +58,7 @@ def test_check_points_rejects_non_point_arrays(x):
 @pytest.mark.parametrize(
     "x, error",
     [("1", StructuralError), (None, StructuralError), (np.nan, NumericInputError),
-     (0.0, StructuralError)],
+     (0.0, StructuralError), (True, StructuralError)],
 )
 def test_check_positive_rejects(x, error):
     with pytest.raises(error):
@@ -83,6 +85,25 @@ def test_counts_must_be_integers(site, bad):
 def test_numpy_integer_counts_accepted(site):
     # the series' dt**p / p! cannot be formed past 170 terms
     COUNT_SITES[site](np.int64(5 if site == "exp_series_apply" else 222))
+
+
+CENTER_SITES = {
+    "Scenario.disc_center": lambda c: replace(make_scenario("rotation"), disc_center=c),
+    "RigidRotation.center": lambda c: RigidRotation(center=c),
+    "ModulatedRotation.center": lambda c: ModulatedRotation(center=c),
+}
+
+
+@pytest.mark.parametrize(
+    "center, error",
+    [((0.0, 0.0, 0.0), DimensionError), ((np.nan, 0.0), NumericInputError)],
+    ids=["3-vector", "nan"],
+)
+@pytest.mark.parametrize("site", list(CENTER_SITES))
+def test_center_must_be_a_finite_2_vector(site, center, error):
+    # checked where the center is constructed, not where a run first uses it
+    with pytest.raises(error, match="center"):
+        CENTER_SITES[site](center)
 
 
 def test_check_count_lower_bound():
