@@ -4,9 +4,10 @@ lagmove is 2-D. A point array (positions, velocities, displacements) is a
 numeric (N, 2) array with N >= 1, a gradient array is (N, 2, 2), a time
 step, length or radius is a finite positive real, not a bool, and a count
 (points, series terms, output stride) is an integral number, not a bool,
-with a lower bound. ``check_points``, ``check_positive`` and
-``check_count`` are the only places that decide this; every malformed
-input they meet raises a ``StructuralError`` or one of its subclasses.
+with a lower bound. A center is one finite point. ``check_points``,
+``check_center``, ``check_positive`` and ``check_count`` are the only
+places that decide this; every malformed input they meet raises a
+``StructuralError`` or one of its subclasses.
 """
 import math
 import numbers
@@ -66,8 +67,10 @@ def check_points(
     would copy a column-major one into row order.
     """
     tail = (2, 2) if gradient else (2,)
-    if not isinstance(x, np.ndarray) or x.dtype.kind not in "iuf":
+    if not isinstance(x, np.ndarray):
         raise StructuralError(f"{what} must be a numeric array, not {type(x).__name__}")
+    if x.dtype.kind not in "iuf":
+        raise StructuralError(f"{what} must be a numeric array, not dtype {x.dtype}")
     if x.ndim != 1 + len(tail):
         raise StructuralError(f"{what} has shape {x.shape}, expected {('N',) + tail}")
     if x.shape[1:] != tail:
@@ -79,6 +82,16 @@ def check_points(
         if not math.isfinite(np.vdot(scanned, scanned)) and not np.isfinite(scanned).all():
             raise NumericInputError(f"{what} contains non-finite entries")
     return x
+
+
+def check_center(center, what: str) -> None:
+    """Raise unless ``center`` is one finite numeric 2-vector, as a
+    (1, 2) point array would pass ``check_points``."""
+    try:
+        points = np.asarray([center])
+    except ValueError:   # ragged nesting
+        raise StructuralError(f"{what} must be a 2-vector, got {center!r}") from None
+    check_points(points, what)
 
 
 def check_count(x: int, what: str, minimum: int) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, check_points
+from .errors import DimensionError, check_center, check_points
 
 _ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -56,7 +56,7 @@ class RigidRotation(_AffineField):
     omega: float = 1.0
 
     def __post_init__(self):
-        check_points(np.asarray([self.center]), "center")
+        check_center(self.center, "center")
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
@@ -135,7 +135,7 @@ class ModulatedRotation(_AffineField):
     modulation_freq: float = 0.5
 
     def __post_init__(self):
-        check_points(np.asarray([self.center]), "center")
+        check_center(self.center, "center")
 
     def rate(self, t: float) -> float:
         return self.omega0 * (1.0 + 0.5 * np.sin(2.0 * np.pi * self.modulation_freq * t))

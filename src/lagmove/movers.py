@@ -20,12 +20,12 @@ multiply-adds over the point axis, and its result is laid out like ``v``: a
 run's column-major velocities give contiguous columns.
 
 m3 and m4 take each level's series from ``apply_series``. The series is
-linear in v, so where every point shares one gradient matrix (a row stride
-of 0, as in an analytic run) it is one (2, 2) matrix S applied to every
-point: the kernel runs on that matrix and the two unit rows, which gives
-S^T, and one matmul applies it. That differs from the per-row kernel only
-at rounding level. A full gradient, such as a numeric run's, goes to the
-kernel row by row.
+linear in v, so where every point shares one gradient matrix G (a row
+stride of 0, as in an analytic run) it is one (2, 2) matrix S applied to
+every point. S^T is built from G's four floats by the kernel's own products
+and sums in the kernel's order, so it equals the kernel's S^T on the two
+unit rows bit for bit, and one matmul applies it. A full gradient, such as
+a numeric run's, goes to the kernel row by row.
 """
 from __future__ import annotations
 
@@ -50,9 +50,6 @@ MOVER_NAMES = ("m1", "m2", "m3", "m4")
 # (dt, terms, offset) triples whose series coefficients are kept; the
 # paper's sweep uses 16 (offsets 0 and 1 at 4 dts and 4 shortened dts)
 SERIES_COEFFICIENTS_CACHED = 64
-# e_0 and e_1 as rows: the series of one gradient matrix on them is S^T
-_UNIT_ROWS = np.eye(2)
-_UNIT_ROWS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -95,6 +92,19 @@ def _series_coefficients(dt: float, terms: int, offset: int) -> tuple[float, ...
         ) from None
 
 
+def _series_inputs(grad, v, dt, terms: int, offset: int):
+    """The series' ``grad`` and ``v`` as checked float arrays, and its
+    coefficients: the input contract of ``exp_series_apply``."""
+    check_count(terms, "terms", 1)
+    if check_count(offset, "offset", 0) > 1:
+        raise StructuralError(f"offset must be 0 or 1, got {offset}")
+    dt = float(check_positive(dt, "dt"))   # a NumPy scalar's power overflows to inf, a float's raises
+    coeffs = _series_coefficients(dt, terms, offset)
+    v = check_points(np.asarray(v, dtype=float), "v", finite=False)
+    grad = check_points(np.asarray(grad, dtype=float), "grad", len(v), gradient=True, finite=False)
+    return grad, v, coeffs
+
+
 def exp_series_apply(
     grad: np.ndarray, v: np.ndarray, dt: float, terms: int, offset: int = 0
 ) -> np.ndarray:
@@ -111,13 +121,7 @@ def exp_series_apply(
     is accepted, a bool or a float is not) of value 0 or 1. ``grad`` may be
     a broadcast view; its stride-0 columns give the same bits as full ones.
     """
-    check_count(terms, "terms", 1)
-    if check_count(offset, "offset", 0) > 1:
-        raise StructuralError(f"offset must be 0 or 1, got {offset}")
-    dt = float(check_positive(dt, "dt"))   # a NumPy scalar's power overflows to inf, a float's raises
-    coeffs = _series_coefficients(dt, terms, offset)
-    v = check_points(np.asarray(v, dtype=float), "v", finite=False)
-    grad = check_points(np.asarray(grad, dtype=float), "grad", len(v), gradient=True, finite=False)
+    grad, v, coeffs = _series_inputs(grad, v, dt, terms, offset)
     g00, g01, g10, g11 = grad[:, 0, 0], grad[:, 0, 1], grad[:, 1, 0], grad[:, 1, 1]
     w0, w1 = v[:, 0], v[:, 1]
     out = np.empty_like(v)
@@ -135,19 +139,39 @@ def exp_series_apply(
     return out
 
 
+def _series_matrix_t(g: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """S^T for S = sum_k coeffs[k] g^k, one (2, 2) matrix ``g``.
+
+    Row k is S e_k, evaluated as the kernel evaluates the unit row e_k: the
+    same products and sums in the same order, each rounded once in Python
+    floats as each NumPy operation rounds, so the result equals
+    ``exp_series_apply`` on ``g`` and the two unit rows bit for bit.
+    """
+    (g00, g01), (g10, g11) = g.tolist()
+    rows = []
+    for w0, w1 in ((1.0, 0.0), (0.0, 1.0)):
+        s0, s1 = coeffs[0] * w0, coeffs[0] * w1
+        for c in coeffs[1:]:
+            w0, w1 = g00 * w0 + g01 * w1, g10 * w0 + g11 * w1
+            s0 += c * w0
+            s1 += c * w1
+        rows.append((s0, s1))
+    return np.array(rows)
+
+
 def apply_series(grad: np.ndarray, v: np.ndarray, dt: float, terms: int, offset: int) -> np.ndarray:
     """``exp_series_apply(grad, v, dt, terms, offset)`` for a cloud's level.
 
     When ``grad`` has row stride 0, every row is one matrix G and the series
-    is S v with S = sum_k c_k G^k. The kernel on G and the two unit rows
-    returns S^T (row k is S e_k), and ``v @ S^T`` applies it, laid out like
-    ``v``. Any other gradient goes to the kernel as it is.
+    is S v with S = sum_k c_k G^k. After the kernel's input checks, S^T is
+    built from G's four floats with the kernel's bits (``_series_matrix_t``)
+    and ``v @ S^T`` applies it, laid out like ``v``. Any other gradient goes
+    to the kernel as it is.
     """
     if grad.strides[0] != 0:
         return exp_series_apply(grad, v, dt, terms, offset)
-    two_rows = grad[:2] if len(grad) > 1 else grad[[0, 0]]    # a 1-row view has 1 row to slice
-    s_t = exp_series_apply(two_rows, _UNIT_ROWS, dt, terms, offset)
-    return np.matmul(v, s_t, out=np.empty_like(v))
+    grad, v, coeffs = _series_inputs(grad, v, dt, terms, offset)
+    return np.matmul(v, _series_matrix_t(grad[0], coeffs), out=np.empty_like(v))
 
 
 def move_m1(cloud: PointCloud, dt: float) -> np.ndarray:

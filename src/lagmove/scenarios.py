@@ -27,7 +27,7 @@ import numpy as np
 
 from . import diagnostics, gfdm, movers, neighbors
 from .cloud import PointCloud, advance_history, make_cloud
-from .errors import LagmoveError, StructuralError, check_count, check_points, check_positive
+from .errors import LagmoveError, StructuralError, check_center, check_count, check_positive
 from .fields import (
     Lissajous,
     LinearField,
@@ -57,7 +57,7 @@ class Scenario:
 
     def __post_init__(self):
         check_count(self.n_points, "n_points", MIN_POINTS)
-        check_points(np.asarray([self.disc_center]), "disc center")
+        check_center(self.disc_center, "disc center")
         check_positive(self.disc_radius, "disc radius")
         check_positive(self.t_end, "t_end")
 

@@ -56,6 +56,17 @@ def test_check_points_rejects_non_point_arrays(x):
 
 
 @pytest.mark.parametrize(
+    "x, named",
+    [(np.zeros((3, 2), dtype=object), "dtype object"), (np.array([["a", "b"]]), "dtype <U1"), ([[0.0, 0.0]], "list")],
+    ids=["object", "str", "list"],
+)
+def test_check_points_names_the_wrong_dtype_or_type(x, named):
+    # an ndarray is named by its dtype (what is wrong), anything else by its Python type
+    with pytest.raises(StructuralError, match=f"^x must be a numeric array, not {named}$"):
+        check_points(x, "x")
+
+
+@pytest.mark.parametrize(
     "x, error",
     [("1", StructuralError), (None, StructuralError), (np.nan, NumericInputError),
      (0.0, StructuralError), (True, StructuralError)],
@@ -96,8 +107,8 @@ CENTER_SITES = {
 
 @pytest.mark.parametrize(
     "center, error",
-    [((0.0, 0.0, 0.0), DimensionError), ((np.nan, 0.0), NumericInputError)],
-    ids=["3-vector", "nan"],
+    [((0.0, 0.0, 0.0), DimensionError), ((np.nan, 0.0), NumericInputError), (((0, 0), 1), StructuralError)],
+    ids=["3-vector", "nan", "ragged"],
 )
 @pytest.mark.parametrize("site", list(CENTER_SITES))
 def test_center_must_be_a_finite_2_vector(site, center, error):

@@ -10,6 +10,8 @@ from lagmove.errors import HistoryMissingError, NumericInputError, StructuralErr
 from lagmove.movers import (
     MOVER_NAMES,
     MoverKind,
+    _series_coefficients,
+    _series_matrix_t,
     apply_series,
     displacement,
     exp_series_apply,
@@ -165,11 +167,12 @@ def test_series_same_bits_on_broadcast_gradient(name, offset, n):
 @pytest.mark.parametrize("offset", [0, 1])
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_uniform_series_matches_the_kernel(name, offset, n):
-    # the field's own stride-0 view takes the one-matrix path: the kernel's
-    # S^T from the two unit rows, then v @ S^T, within rounding of the kernel
+    # the field's own stride-0 view takes the one-matrix path: S^T with the
+    # kernel's bits on the two unit rows, then v @ S^T, within rounding of
+    # the kernel row by row
     grad, unit = (FIELDS[name].gradient(np.zeros((rows, 2)), 0.7) for rows in (n, 2))
     assert grad.strides[0] == unit.strides[0] == 0
-    # on the two unit rows, the matmul by S^T reproduces the kernel's S^T exactly
+    # on the two unit rows, the matmul by S^T gives S^T, the kernel's exactly
     s_t = exp_series_apply(unit, np.eye(2), 0.05, 5, offset)
     assert np.array_equal(apply_series(unit, np.eye(2), 0.05, 5, offset), s_t)
     norm_s = np.abs(s_t).sum(axis=0).max()    # max row sum of S
@@ -181,6 +184,44 @@ def test_uniform_series_matches_the_kernel(name, offset, n):
         assert got.flags.f_contiguous == vl.flags.f_contiguous
         bound = 4 * np.finfo(float).eps * norm_s * np.abs(v).max(axis=1)
         assert np.all(np.abs(got - want).max(axis=1) <= bound)
+
+
+def criterion_8_draws():
+    """The (A, dt) of criterion 8's 1 000 draws: seed 8, |A| <= 2, dt in [0, 0.2)."""
+    rng = np.random.default_rng(8)
+    for _ in range(1000):
+        a = rng.normal(size=(2, 2))
+        a *= min(1.0, 2.0 / np.linalg.norm(a, 2))
+        rng.normal(size=2)                      # the draw's v, which S does not use
+        yield a, rng.uniform(0.0, 0.2)
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("terms", [1, 2, 5, 20])
+def test_shared_series_matrix_is_the_kernels_bit_for_bit(terms, offset):
+    # criterion 8 checks the kernel alone; this equality makes its numbers the
+    # ones an analytic run applies
+    jacobians = [(f.jacobian(t), dt) for f in FIELDS.values() for t in (0.0, 0.7) for dt in (0.2, 0.05, 0.025)]
+    for a, dt in [*criterion_8_draws(), *jacobians]:
+        want = exp_series_apply(np.broadcast_to(a, (2, 2, 2)), np.eye(2), dt, terms, offset)
+        assert np.array_equal(_series_matrix_t(a, _series_coefficients(dt, terms, offset)), want)
+
+
+@pytest.mark.parametrize(
+    "rows, dt, terms, offset, error",
+    [(3, 0.1, 5, 0, StructuralError), (2, 0.1, 0, 0, StructuralError), (2, 0.1, 5, 2, StructuralError),
+     (2, 0.0, 5, 0, StructuralError), (2, 0.05, 200, 0, NumericInputError)],
+    ids=["rows", "terms", "offset", "dt", "overflow"],
+)
+def test_shared_gradient_series_keeps_the_kernel_checks(rows, dt, terms, offset, error):
+    # the stride-0 route never runs the kernel: it raises what the kernel would
+    grad, v = np.broadcast_to(np.eye(2), (rows, 2, 2)), np.ones((2, 2))
+    raised = []
+    for series in (exp_series_apply, apply_series):
+        with pytest.raises(error) as info:
+            series(grad, v, dt, terms, offset)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
 
 
 @pytest.mark.parametrize(

@@ -369,17 +369,22 @@ def test_modulated_rotation_trajectory_ordering():
     assert errs["m4"] < errs["m2"] < errs["m1"]
 
 
-def series_calls(monkeypatch) -> list:
-    """The rows of ``v`` in each ``exp_series_apply`` call from here on."""
+def spy(monkeypatch, name) -> list:
+    """The rows of ``v`` in each call of ``movers.<name>`` from here on."""
     rows = []
-    original = movers.exp_series_apply
+    original = getattr(movers, name)
 
     def counted(grad, v, dt, terms, offset=0):
         rows.append(len(v))
         return original(grad, v, dt, terms, offset)
 
-    monkeypatch.setattr(movers, "exp_series_apply", counted)
+    monkeypatch.setattr(movers, name, counted)
     return rows
+
+
+def series_calls(monkeypatch) -> list:
+    """The rows of ``v`` in each level's series, one ``apply_series`` call each."""
+    return spy(monkeypatch, "apply_series")
 
 
 @pytest.mark.parametrize("t_end, calls", [(1.0, 21), (1.02, 23)], ids=["whole", "short-last"])
@@ -392,15 +397,17 @@ def test_m4_series_calls_per_run(monkeypatch, t_end, calls):
     assert len(seen) == calls
 
 
-@pytest.mark.parametrize("mode, rows", [("analytic", 2), ("numeric", PAPER_N)])
-def test_series_rows_per_gradient_mode(monkeypatch, mode, rows):
+@pytest.mark.parametrize("mode, kernel_calls", [("analytic", 0), ("numeric", 6 + 8)])
+def test_series_rows_per_gradient_mode(monkeypatch, mode, kernel_calls):
     # an analytic run's shared (stride-0) gradient gets its series matrix from
-    # the kernel on the two unit rows; a numeric run's full gradient, per row
-    seen = series_calls(monkeypatch)
+    # the Jacobian's four floats and never runs the kernel; a numeric run's
+    # full gradient goes to the kernel, row by row
+    seen, kernel = series_calls(monkeypatch), spy(monkeypatch, "exp_series_apply")
     for mover in ("m3", "m4"):
         run(make_scenario("modulated-rotation", t_end=0.27), config(mover, dt=0.05, gradient_mode=mode))
     # m3: one call a step; m4: 1 + 2 + 1 + 1 + 1 + 2 (bootstrap, first step, short last step)
-    assert len(seen) == 6 + 8 and set(seen) == {rows}
+    assert len(seen) == 6 + 8 and set(seen) == {PAPER_N}
+    assert kernel == [PAPER_N] * kernel_calls
 
 
 def m4_cloud(sc, cfg, steps=3):
