@@ -48,7 +48,16 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    _write_lines(path, [json.dumps(obj, indent=2)])
+    # strict JSON (RFC 8259): a NaN raises here instead of being written bare
+    _write_lines(path, [json.dumps(obj, indent=2, allow_nan=False)])
+
+
+def _summary_cell(cell: scenarios.SweepCell) -> dict:
+    """A sweep cell as JSON: a failed cell's NaN errors are null."""
+    out = dataclasses.asdict(cell)
+    if cell.failed:
+        out.update(eps_dia=None, eps_x=None, eps_V=None)
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,7 +145,7 @@ def cmd_sweep(args) -> int:
         status = f"FAILED ({c.error})" if c.failed else f"eps_dia={c.eps_dia:.6e} eps_V={c.eps_V:.6e}"
         print(f"{c.mover} dt={_fmt(c.dt)}: {status}")
     if args.summary:
-        _write_json(args.summary, [dataclasses.asdict(c) for c in cells])
+        _write_json(args.summary, [_summary_cell(c) for c in cells])
     return 0
 
 

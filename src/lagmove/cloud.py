@@ -11,6 +11,8 @@ and the movers read their inputs from it. A step builds its next cloud
 once, with ``advance_history``: the moved positions and the velocity level
 sampled there. Each array is checked once, where it enters
 (``make_cloud``, ``advance_history``), so its readers trust it.
+Only m3 and m4 read a velocity gradient, so a level holds one only in
+their runs; an m1 or m2 run's clouds hold None at both gradient levels.
 Clouds only read their arrays, so a gradient may be a read-only view: an
 analytic run's gradients are the views ``fields.gradient`` builds, one
 (2, 2) matrix broadcast to (N, 2, 2), whose series the movers apply as one
@@ -50,8 +52,8 @@ class PointCloud:
     positions: np.ndarray                    # (N, 2)
     velocities: np.ndarray                   # (N, 2), current level
     velocities_prev: np.ndarray | None       # (N, 2), previous level: None until a step shifts a level in
-    grad_velocities: np.ndarray              # (N, 2, 2), current level
-    grad_velocities_prev: np.ndarray | None  # (N, 2, 2), previous level: None until a step shifts a level in
+    grad_velocities: np.ndarray | None       # (N, 2, 2), current level: None for m1 and m2, which read none
+    grad_velocities_prev: np.ndarray | None  # (N, 2, 2), previous level: None at step 0, and for m1 and m2
     dt: float                                # regular step: the spacing of the two levels
     initial_time: float = 0.0
     step: int = 0
@@ -68,23 +70,28 @@ class PointCloud:
         return self.velocities_prev is not None
 
 
+def _check_gradient(grad, name: str, n: int) -> np.ndarray | None:
+    if grad is None:
+        return None
+    return check_points(np.asarray(grad, dtype=float), name, n, gradient=True)
+
+
 def make_cloud(
     positions: np.ndarray,
     velocities: np.ndarray,
-    grad_velocities: np.ndarray,
+    grad_velocities: np.ndarray | None,
     *,
     dt: float,
 ) -> PointCloud:
-    """Build a fresh step-0 cloud: one level, and no history yet."""
+    """Build a fresh step-0 cloud: one level, and no history yet. A None
+    gradient is a level without one, for a scheme that reads none."""
     positions = check_points(np.asarray(positions, dtype=float), "positions")
     n = len(positions)
     return PointCloud(
         positions=positions,
         velocities=check_points(np.asarray(velocities, dtype=float), "velocities", n),
         velocities_prev=None,
-        grad_velocities=check_points(
-            np.asarray(grad_velocities, dtype=float), "grad_velocities", n, gradient=True
-        ),
+        grad_velocities=_check_gradient(grad_velocities, "grad_velocities", n),
         grad_velocities_prev=None,
         dt=check_positive(dt, "dt"),
     )
@@ -94,22 +101,21 @@ def advance_history(
     cloud: PointCloud,
     new_positions: np.ndarray,
     new_velocities: np.ndarray,
-    new_gradients: np.ndarray,
+    new_gradients: np.ndarray | None,
     series: LevelSeries | None = None,
 ) -> PointCloud:
     """The next cloud: the moved positions, and the velocity level sampled there.
 
-    The current velocity/gradient shift into history. ``series`` is the m4
-    series of the level being shifted out (the mover's current-level
-    series); it becomes ``series_prev``, and None drops it. Increments the
-    step counter; time follows from it.
+    The current velocity/gradient shift into history. A None gradient is a
+    level without one, as in ``make_cloud``. ``series`` is the m4 series of
+    the level being shifted out (the mover's current-level series); it
+    becomes ``series_prev``, and None drops it. Increments the step
+    counter; time follows from it.
     """
     n = len(cloud.positions)
     new_positions = check_points(np.asarray(new_positions, dtype=float), "new_positions", n)
     new_velocities = check_points(np.asarray(new_velocities, dtype=float), "new_velocities", n)
-    new_gradients = check_points(
-        np.asarray(new_gradients, dtype=float), "new_gradients", n, gradient=True
-    )
+    new_gradients = _check_gradient(new_gradients, "new_gradients", n)
     if series is not None:
         check_points(series.values, "series", n, finite=False)
     # the constructor by keyword, not dataclasses.replace: 2 against 5 us per step

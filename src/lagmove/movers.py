@@ -12,9 +12,13 @@ time step by integrating a characteristic-velocity ODE:
       the new level's series of the step before, so m4 returns that series
       with the displacement and reads it back from ``cloud.series_prev``.
 
-The movers read both levels from a ``PointCloud``, checked when they were
-installed, and integrate over ``dt``; backward differences span the levels'
-spacing ``cloud.dt``. Velocities are (N, 2), gradients (N, 2, 2). The series
+m1 and m2 read velocities alone; m3 and m4 also read the velocity
+gradient, and ``MoverKind.reads_gradient`` says which, so a run samples a
+gradient only for m3 and m4. The movers read both levels from a
+``PointCloud``, checked when they were installed, and integrate over
+``dt``; backward differences span the levels' spacing ``cloud.dt``.
+Velocities are (N, 2), gradients (N, 2, 2); a level m3 or m4 reads without
+a gradient raises ``StructuralError``. The series
 kernel works on components: each matrix-vector product is four elementwise
 multiply-adds over the point axis, and its result is laid out like ``v``: a
 run's column-major velocities give contiguous columns.
@@ -63,6 +67,12 @@ class MoverKind:
         check_count(self.terms, "series term count", 1)
 
     @property
+    def reads_gradient(self) -> bool:
+        """Whether the scheme, and so its bootstrap, reads velocity gradients:
+        m3 and m4 (whose bootstrap is m3) do, m1 and m2 (bootstrap m1) do not."""
+        return self.name in ("m3", "m4")
+
+    @property
     def bootstrap(self) -> "MoverKind":
         """Scheme to use on the first step, when no history exists yet."""
         if self.name == "m2":
@@ -77,6 +87,14 @@ def _require_history(cloud: PointCloud, mover: str) -> None:
         raise HistoryMissingError(
             f"{mover} needs previous-level data; bootstrap the first step instead"
         )
+
+
+def _level_gradient(grad: np.ndarray | None, mover: str, level: str) -> np.ndarray:
+    if grad is None:
+        raise StructuralError(
+            f"{mover} reads the {level} level's velocity gradient, and the cloud holds none"
+        )
+    return grad
 
 
 @functools.lru_cache(maxsize=SERIES_COEFFICIENTS_CACHED, typed=True)
@@ -185,22 +203,26 @@ def move_m2(cloud: PointCloud, dt: float) -> np.ndarray:
 
 
 def move_m3(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS) -> np.ndarray:
-    return apply_series(cloud.grad_velocities, cloud.velocities, dt, terms, 0)
+    grad = _level_gradient(cloud.grad_velocities, "m3", "current")
+    return apply_series(grad, cloud.velocities, dt, terms, 0)
 
 
 def move_m4(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS):
     """Displacement, and the current level's series for the next step.
 
     The old level's series is read from ``cloud.series_prev`` when it was
-    computed with this ``dt`` and term count, and computed otherwise.
+    computed with this ``dt`` and term count, and computed otherwise: only
+    then is the previous level's gradient read.
     """
     _require_history(cloud, "m4")
-    s_now = apply_series(cloud.grad_velocities, cloud.velocities, dt, terms, 1)
+    grad = _level_gradient(cloud.grad_velocities, "m4", "current")
+    s_now = apply_series(grad, cloud.velocities, dt, terms, 1)
     old = cloud.series_prev
     if old is not None and old.dt == dt and old.terms == terms:
         s_old = old.values
     else:
-        s_old = apply_series(cloud.grad_velocities_prev, cloud.velocities_prev, dt, terms, 1)
+        grad_prev = _level_gradient(cloud.grad_velocities_prev, "m4", "previous")
+        s_old = apply_series(grad_prev, cloud.velocities_prev, dt, terms, 1)
     disp = s_now - s_old       # a new array: s_now is the next step's s_old
     disp /= cloud.dt
     disp += cloud.velocities * dt

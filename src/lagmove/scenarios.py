@@ -6,9 +6,11 @@ the size and, when given, the t_end. Point counts and output strides are
 checked by ``errors.check_count``.
 
 A step does, in order: displace points with the configured scheme, sample
-the field (and its gradient, analytic or WLSQ-reconstructed from neighbor
-velocities) at the new positions and time, and install both as the next
-cloud. Movement always happens before the velocity update. Every field
+the field at the new positions and time, and install the level as the next
+cloud. Movement always happens before the velocity update. A level holds a
+gradient, analytic or WLSQ-reconstructed from neighbor velocities, only
+when the scheme reads one (``MoverKind.reads_gradient``: m3 and m4); an m1
+or m2 run builds no gradient, neighbor index or fit. Every field
 is affine, so an analytic gradient is the view ``field.gradient`` builds:
 its (2, 2) Jacobian broadcast to a read-only (N, 2, 2) view whose rows
 share memory. m3 and m4 apply the series of such a view as one (2, 2)
@@ -148,11 +150,14 @@ def make_scenario(name: str, n: int = PAPER_N, t_end: float | None = None) -> Sc
 
 
 def _field_state(scenario: Scenario, config: RunConfig, positions, t):
-    """Velocity and current-level gradient at given positions and time. An
-    analytic gradient is ``field.gradient``'s read-only (N, 2, 2) view of
-    the one (2, 2) Jacobian; a numeric one is the full WLSQ array."""
+    """Velocity and current-level gradient at given positions and time. The
+    gradient is None for a scheme that reads none. An analytic gradient is
+    ``field.gradient``'s read-only (N, 2, 2) view of the one (2, 2)
+    Jacobian; a numeric one is the full WLSQ array."""
     v = scenario.field.evaluate(positions, t)
-    if config.gradient_mode == "analytic":
+    if not config.mover.reads_gradient:
+        g = None
+    elif config.gradient_mode == "analytic":
         g = scenario.field.gradient(positions, t)
     else:
         h = scenario.smoothing_length
@@ -269,11 +274,16 @@ class SweepCell:
 
 def convergence_sweep(scenario: Scenario, base: RunConfig, dts: list[float]) -> list[SweepCell]:
     """Cross product of movers and time steps, sorted by (mover, dt). Every
-    dt and its step plan are checked before the first cell runs; a cell
-    failing with a package error while it runs is marked with the reason
-    and the sweep continues. A stride past the last full step builds only
-    the first and final record of each cell."""
-    n_full = {dt: plan_steps(scenario.t_end, check_positive(dt, "dt"))[0] for dt in dts}
+    dt and its step plan are checked before the first cell runs, and a dt
+    listed twice is rejected there too; a cell failing with a package error
+    while it runs is marked with the reason and the sweep continues. A
+    stride past the last full step builds only the first and final record
+    of each cell."""
+    n_full = {}
+    for dt in dts:
+        if dt in n_full:
+            raise StructuralError(f"dt {dt!r} is listed more than once")
+        n_full[dt] = plan_steps(scenario.t_end, check_positive(dt, "dt"))[0]
     cells = []
     for name in movers.MOVER_NAMES:
         mover = movers.MoverKind(name, base.mover.terms)

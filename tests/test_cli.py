@@ -130,7 +130,10 @@ def test_sweep_summary_is_the_cells(tmp_path):
     for got, cell in zip(payload, cells, strict=True):
         for name in names:
             want = getattr(cell, name)
-            assert got[name] == want or (math.isnan(got[name]) and math.isnan(want)), (name, got, cell)
+            assert got[name] == want or (got[name] is None and math.isnan(want)), (name, got, cell)
+    # strict JSON: a failed cell's errors are null, never a bare NaN
+    assert all(c[e] is None for c in payload[4:] for e in ("eps_dia", "eps_x", "eps_V"))
+    json.loads(summary.read_text(), parse_constant=lambda name: pytest.fail(f"bare {name}"))
 
 
 def test_run_csv_byte_identical(tmp_path):
@@ -345,3 +348,21 @@ def test_sweep_names_a_time_step_past_the_plan_limit(tmp_path, capsys):
     assert cli.main(["sweep", "--dts", "0.1,1e-300", "--t-end", "0.3", "--out", str(out)]) == 2
     assert "1e-300" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_rejects_a_repeated_time_step(monkeypatch, tmp_path, capsys):
+    calls = []
+    original = scenarios.run
+
+    def counted(scenario, config):
+        calls.append(config.dt)
+        return original(scenario, config)
+
+    monkeypatch.setattr(scenarios, "run", counted)
+    out = tmp_path / "bad.csv"
+    assert cli.main(["sweep", "--dts", "0.2,0.1,0.2", "--t-end", "0.4", "--out", str(out)]) == 2
+    assert calls == [] and not out.exists()
+    assert capsys.readouterr().err == "error: dt 0.2 is listed more than once\n"
+    # dts that differ as floats are distinct cells
+    assert cli.main(["sweep", "--dts", "0.2,0.2000000001", "--t-end", "0.4", "--out", str(out)]) == 0
+    assert len(calls) == 8 and len(out.read_text().splitlines()) == 1 + 8

@@ -156,6 +156,31 @@ def test_make_cloud_rejects_non_finite(field, value):
         make_cloud(**arrays, dt=0.1)
 
 
+def test_a_level_may_hold_no_gradient():
+    # m1 and m2 read no gradient, so their runs install None at both levels
+    cloud = make_cloud(np.zeros((3, 2)), np.ones((3, 2)), None, dt=0.1)
+    assert cloud.grad_velocities is None and cloud.grad_velocities_prev is None
+    out = advance_history(cloud, cloud.positions, cloud.velocities, None)
+    assert out.has_history and out.grad_velocities is None and out.grad_velocities_prev is None
+
+
+@pytest.mark.parametrize(
+    "grad, error",
+    [(np.zeros((3, 2)), StructuralError), (np.zeros((2, 2, 2)), StructuralError),
+     (np.zeros((3, 2, 3)), StructuralError), (np.full((3, 2, 2), np.nan), NumericInputError),
+     (np.full((3, 2, 2), np.inf), NumericInputError)],
+    ids=["vector-shaped", "too-few-rows", "three-columns", "nan", "inf"],
+)
+@pytest.mark.parametrize("held", [True, False], ids=["held", "none-held"])
+def test_a_given_gradient_is_still_checked(grad, error, held):
+    # None is a level without a gradient; any array given is checked as ever
+    with pytest.raises(error):
+        make_cloud(np.zeros((3, 2)), np.zeros((3, 2)), grad, dt=0.1)
+    cloud = make_cloud(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2, 2)) if held else None, dt=0.1)
+    with pytest.raises(error):
+        advance_history(cloud, cloud.positions, cloud.velocities, grad)
+
+
 @pytest.mark.parametrize("field", ["dt"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_make_cloud_rejects_non_finite_scalars(field, value):

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lagmove.cloud import advance_history, make_cloud
+from lagmove.cloud import LevelSeries, advance_history, make_cloud
 from lagmove.errors import HistoryMissingError, NumericInputError, StructuralError
 from lagmove.movers import (
+    DEFAULT_TERMS,
     MOVER_NAMES,
     MoverKind,
     _series_coefficients,
@@ -342,6 +343,30 @@ def test_displacement_bootstraps_without_history():
     assert series is None and np.array_equal(disp, move_m3(cloud, cloud.dt))
     disp, series = displacement(MoverKind("m2"), cloud)
     assert series is None and np.array_equal(disp, move_m1(cloud, cloud.dt))
+
+
+def test_m3_and_m4_name_the_level_without_a_gradient():
+    v = np.ones((3, 2))
+    fresh = make_cloud(np.zeros((3, 2)), v, None, dt=0.1)
+    with pytest.raises(StructuralError, match="m3 reads the current level's velocity gradient"):
+        move_m3(fresh, 0.1)
+    with pytest.raises(StructuralError, match="m3 reads the current level"):
+        displacement(MoverKind("m4"), fresh)        # the bootstrap is m3
+    with pytest.raises(StructuralError, match="m4 reads the current level"):
+        move_m4(advance_history(fresh, fresh.positions, v, None), 0.1)
+    # a gradient at the current level only, with the series of the previous one
+    # carried at dt 0.1: m4 reads the previous gradient only when the carry misses
+    kept = LevelSeries(v * (0.1**2 / 2), 0.1, DEFAULT_TERMS)   # a steady v and zero gradient
+    cloud = advance_history(fresh, fresh.positions, v, np.zeros((3, 2, 2)), kept)
+    assert np.array_equal(displacement(MoverKind("m4"), cloud)[0], v * 0.1)
+    with pytest.raises(StructuralError, match="m4 reads the previous level's velocity gradient"):
+        displacement(MoverKind("m4"), cloud, 0.04)
+
+
+def test_reads_gradient_is_m3_and_m4_and_their_bootstraps():
+    for name in MOVER_NAMES:
+        kind = MoverKind(name)
+        assert kind.reads_gradient == (name in ("m3", "m4")) == kind.bootstrap.reads_gradient
 
 
 def test_m3_single_step_rotation_accuracy():

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lagmove import diagnostics, movers, scenarios
+from lagmove import diagnostics, gfdm, movers, neighbors, scenarios
 from lagmove.cloud import PointCloud, make_cloud
 from lagmove.errors import NumericInputError, StructuralError
 from lagmove.fields import (
@@ -320,6 +320,51 @@ def test_analytic_run_installs_the_field_gradient_itself(monkeypatch, name):
     assert all(g is r for g, r in zip(installed, spy.returned))
 
 
+def installed_clouds(monkeypatch) -> list:
+    """Every cloud ``make_cloud`` and ``advance_history`` build in a run."""
+    clouds = []
+    for name in ("make_cloud", "advance_history"):
+        def recorded(*args, _build=getattr(scenarios, name), **kwargs):
+            clouds.append(_build(*args, **kwargs))
+            return clouds[-1]
+
+        monkeypatch.setattr(scenarios, name, recorded)
+    return clouds
+
+
+def fit_calls(monkeypatch) -> list:
+    """The name of every neighbor-index build and WLSQ fit, in call order."""
+    calls = []
+    for module, name in ((neighbors, "build_index"), (gfdm, "all_gradients")):
+        def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mover", ["m1", "m2", "m3", "m4"])
+@pytest.mark.parametrize("mode", ["analytic", "numeric"])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_only_m3_and_m4_sample_a_gradient(monkeypatch, name, mode, mover):
+    # m1 and m2 read velocities alone: no field gradient, neighbor index or
+    # fit, and None at both gradient levels; m3 and m4 hold one at every level
+    clouds, fits = installed_clouds(monkeypatch), fit_calls(monkeypatch)
+    spy = GradientSpy(SCENARIOS[name].field)
+    # 5 full steps and a shortened one
+    run(replace(make_scenario(name, t_end=0.27), field=spy), config(mover, dt=0.05, gradient_mode=mode))
+    assert len(clouds) == 7
+    if mover in ("m1", "m2"):
+        assert spy.returned == [] and fits == []
+        assert all(c.grad_velocities is None and c.grad_velocities_prev is None for c in clouds)
+        return
+    assert len(spy.returned) == (7 if mode == "analytic" else 0)
+    assert fits == ([] if mode == "analytic" else ["build_index", "all_gradients"] * 7)
+    assert clouds[0].grad_velocities is not None and clouds[0].grad_velocities_prev is None
+    assert all(c.grad_velocities is not None and c.grad_velocities_prev is not None for c in clouds[1:])
+
+
 def test_lissajous_m2_better_than_m1():
     sc = make_scenario("lissajous")
     e1 = run(sc, config("m1", dt=0.05))[-1].eps_x
@@ -462,6 +507,18 @@ def test_one_cloud_per_step(monkeypatch):
     records = run(sc, cfg)
     assert records[-1].step == 252
     assert len(constructed) == 1 + 252 + 1
+
+
+def test_a_level_without_a_gradient_fails_m3_and_m4_by_name():
+    sc = make_scenario("modulated-rotation")
+    m2_cloud = step(initial_cloud(sc, config("m2")), sc, config("m2"))
+    with pytest.raises(StructuralError, match="m3 reads the current level"):
+        step(m2_cloud, sc, config("m3"))
+    cfg = config("m4")
+    cloud = replace(m4_cloud(sc, cfg), grad_velocities_prev=None)
+    step(cloud, sc, cfg)            # the carried series: the previous gradient is not read
+    with pytest.raises(StructuralError, match="m4 reads the previous level"):
+        step(cloud, sc, cfg, dt=0.02)
 
 
 def test_term_count_change_recomputes_series():
