@@ -13,12 +13,16 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import pdist
 
-from .errors import DegenerateGeometryError, check_points, check_positive
+from .errors import DegenerateGeometryError, NumericInputError, check_points, check_positive
 
 # Shrink of the radius of the extreme octagon's inscribed circle, relative
 # to the octagon's size, so that rounding in the edge distances cannot drop
 # a point on its boundary (``_hull_candidates``).
 HULL_FILTER_MARGIN = 1e-9
+# Largest coordinate magnitude measured. Coordinate differences stay within
+# 2**511, so the squares and 2 x 2 determinants that the hull filter, Qhull
+# and the area form stay within float range; past it they can overflow.
+MAX_COORDINATE = 2.0**510
 
 
 @dataclass(frozen=True)
@@ -52,13 +56,21 @@ def _hull_candidates(positions: np.ndarray) -> np.ndarray:
     row closer to the corners' mean c than the smallest distance r from c
     to an edge line, less a margin against rounding, lies strictly inside
     the octagon, so it is no vertex. When r is not positive (collinear or
-    coincident corners) ``positions`` is returned whole.
+    coincident corners) ``positions`` is returned whole. A coordinate past
+    ``MAX_COORDINATE`` raises ``NumericInputError`` before any is squared.
     """
     x, y = positions[:, 0], positions[:, 1]
+    x_max, y_max, x_min, y_min = x.argmax(), y.argmax(), x.argmin(), y.argmin()
+    largest = np.abs(positions[[x_max, y_max, x_min, y_min]]).max()
+    if not largest <= MAX_COORDINATE:
+        raise NumericInputError(
+            f"a coordinate of magnitude {largest:.6g} is past {MAX_COORDINATE:.6g}: "
+            "the hull's squared distances and areas would overflow a float"
+        )
     s, d = x + y, x - y
     corners = positions[[
-        x.argmax(), s.argmax(), y.argmax(), d.argmin(),
-        x.argmin(), s.argmin(), y.argmin(), d.argmax(),
+        x_max, s.argmax(), y_max, d.argmin(),
+        x_min, s.argmin(), y_min, d.argmax(),
     ]]
     c = corners.mean(axis=0)
     edges = np.roll(corners, -1, axis=0) - corners
@@ -84,7 +96,9 @@ def measure(positions: np.ndarray) -> tuple[float, float]:
     Qhull sees only the rows ``_hull_candidates`` keeps: the hull, and so
     the diameter, are those of all rows. The area is Qhull's sum over the
     same facets, seen from an interior point of the rows it is given, so
-    it may differ from an all-row hull's in its last bits.
+    it may differ from an all-row hull's in its last bits. A coordinate
+    past ``MAX_COORDINATE`` raises ``NumericInputError``: the area of such
+    a cloud, or Qhull's arithmetic on it, can overflow a float.
     """
     if len(check_points(positions, "positions")) < 3:
         raise DegenerateGeometryError("too few points for a full-dimensional hull")

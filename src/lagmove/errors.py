@@ -24,7 +24,8 @@ class StructuralError(LagmoveError):
 
 
 class NumericInputError(StructuralError):
-    """NaN or Inf encountered in an input that must be finite."""
+    """NaN or Inf encountered in an input that must be finite, or a finite
+    input whose arithmetic would overflow a float."""
 
 
 class DimensionError(StructuralError):

@@ -28,13 +28,17 @@ linear in v, so where every point shares one gradient matrix G (a row
 stride of 0, as in an analytic run) it is one (2, 2) matrix S applied to
 every point. S^T is built from G's four floats by the kernel's own products
 and sums in the kernel's order, so it equals the kernel's S^T on the two
-unit rows bit for bit, and one matmul applies it. A full gradient, such as
-a numeric run's, goes to the kernel row by row.
+unit rows bit for bit, and one matmul applies it. S^T is memoized,
+read-only, on G's bytes and the coefficient tuple, so a steady field's
+levels, which share G, build it once per (dt, terms, offset); the inputs
+are still checked on every call. A full gradient, such as a numeric
+run's, goes to the kernel row by row.
 """
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +58,9 @@ MOVER_NAMES = ("m1", "m2", "m3", "m4")
 # (dt, terms, offset) triples whose series coefficients are kept; the
 # paper's sweep uses 16 (offsets 0 and 1 at 4 dts and 4 shortened dts)
 SERIES_COEFFICIENTS_CACHED = 64
+# (Jacobian, coefficients) pairs whose S^T is kept; a steady field's sweep
+# uses 16, while an unsteady field's levels mostly miss
+SERIES_MATRICES_CACHED = 64
 
 
 @dataclass(frozen=True)
@@ -157,15 +164,16 @@ def exp_series_apply(
     return out
 
 
-def _series_matrix_t(g: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
-    """S^T for S = sum_k coeffs[k] g^k, one (2, 2) matrix ``g``.
+def _build_series_matrix_t(g: tuple[float, float, float, float], coeffs: tuple[float, ...]) -> np.ndarray:
+    """S^T for S = sum_k coeffs[k] G^k, G the (2, 2) matrix whose entries
+    g00, g01, g10, g11 are ``g``.
 
     Row k is S e_k, evaluated as the kernel evaluates the unit row e_k: the
     same products and sums in the same order, each rounded once in Python
     floats as each NumPy operation rounds, so the result equals
-    ``exp_series_apply`` on ``g`` and the two unit rows bit for bit.
+    ``exp_series_apply`` on G and the two unit rows bit for bit.
     """
-    (g00, g01), (g10, g11) = g.tolist()
+    g00, g01, g10, g11 = g
     rows = []
     for w0, w1 in ((1.0, 0.0), (0.0, 1.0)):
         s0, s1 = coeffs[0] * w0, coeffs[0] * w1
@@ -175,6 +183,22 @@ def _series_matrix_t(g: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
             s1 += c * w1
         rows.append((s0, s1))
     return np.array(rows)
+
+
+@functools.lru_cache(maxsize=SERIES_MATRICES_CACHED)
+def _cached_series_matrix_t(g_bytes: bytes, coeffs: tuple[float, ...]) -> np.ndarray:
+    s_t = _build_series_matrix_t(struct.unpack("4d", g_bytes), coeffs)
+    s_t.setflags(write=False)     # every later call with this key shares it
+    return s_t
+
+
+def _series_matrix_t(g: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    """``_build_series_matrix_t`` of the float (2, 2) array ``g``, read-only
+    and memoized on g's bytes and ``coeffs`` in an LRU: a steady field's
+    levels share one Jacobian, so its m3 and m4 steps build one S^T per
+    coefficient tuple. Byte keys are exact: Jacobians that differ in any
+    bit, 0.0 against -0.0 included, never share an entry."""
+    return _cached_series_matrix_t(g.tobytes(), coeffs)
 
 
 def apply_series(grad: np.ndarray, v: np.ndarray, dt: float, terms: int, offset: int) -> np.ndarray:

@@ -18,6 +18,13 @@ matrix, which differs from the per-row series only at rounding level. A
 numeric gradient is a full (N, 2, 2) array, whose series is per row. The
 ``PointCloud`` is the one state of a step: the movers read it, the other
 kernels take arrays.
+
+A run is a stream of clouds. ``clouds`` is the one loop over a step plan
+(``plan_steps``): it yields the initial cloud, then the cloud after each
+step, the shortened last one included, and holds no earlier cloud.
+``run`` records every ``output_stride``th cloud of the stream and its last;
+``convergence_sweep`` builds the start record once for all its cells,
+since they start from the same disc, and one final record per cell.
 """
 from __future__ import annotations
 
@@ -241,22 +248,38 @@ def plan_steps(t_end: float, dt: float) -> tuple[int, float]:
     return n_full, remainder
 
 
-def run(scenario: Scenario, config: RunConfig) -> list[diagnostics.DiagnosticsRecord]:
-    """Full run to t_end; when dt does not divide t_end the last step is
-    shortened to land exactly on it. Records every stride plus the final step."""
+def clouds(scenario: Scenario, config: RunConfig, start: PointCloud | None = None):
+    """The run's clouds, one at a time: ``start`` (the scenario's initial
+    cloud when None), then the cloud after each step of
+    ``plan_steps(scenario.t_end, config.dt)``, the shortened last step
+    included, its clock pinned to its landing time. The plan is checked
+    before the first cloud is built. Only the current cloud is held, so a
+    run's memory does not grow with its steps."""
     n_full, remainder = plan_steps(scenario.t_end, config.dt)
-    cloud = initial_cloud(scenario, config)
-    first = _record(cloud, scenario)
-    records = [first]
-
+    cloud = initial_cloud(scenario, config) if start is None else start
+    del start       # the stream holds its current cloud alone
+    yield cloud
     for _ in range(n_full):
         cloud = step(cloud, scenario, config)
-        if cloud.step % config.output_stride == 0:
-            records.append(_record(cloud, scenario, first))
+        yield cloud
     if remainder > 0.0:
         cloud = step(cloud, scenario, config, dt=remainder)
+        yield cloud
 
-    if records[-1].step != cloud.step or remainder > 0.0:
+
+def run(scenario: Scenario, config: RunConfig) -> list[diagnostics.DiagnosticsRecord]:
+    """Full run to t_end; when dt does not divide t_end the last step is
+    shortened to land exactly on it. Records every ``output_stride``th full
+    step of the stream, and its final cloud at t_end."""
+    n_full = plan_steps(scenario.t_end, config.dt)[0]
+    stream = clouds(scenario, config)
+    cloud = next(stream)
+    first = _record(cloud, scenario)
+    records = [first]
+    for cloud in stream:
+        if cloud.step % config.output_stride == 0 and cloud.step <= n_full:
+            records.append(_record(cloud, scenario, first))
+    if records[-1].step != cloud.step:
         records.append(replace(_record(cloud, scenario, first), time=scenario.t_end))
     return records
 
@@ -276,21 +299,26 @@ def convergence_sweep(scenario: Scenario, base: RunConfig, dts: list[float]) -> 
     """Cross product of movers and time steps, sorted by (mover, dt). Every
     dt and its step plan are checked before the first cell runs, and a dt
     listed twice is rejected there too; a cell failing with a package error
-    while it runs is marked with the reason and the sweep continues. A
-    stride past the last full step builds only the first and final record
-    of each cell."""
-    n_full = {}
-    for dt in dts:
-        if dt in n_full:
+    while it runs is marked with the reason and the sweep continues. Every
+    cell starts from the same positions, so the start record is built once,
+    by the first cell that gets there, and each cell then measures only the
+    last cloud of its stream."""
+    for i, dt in enumerate(dts):
+        if dt in dts[:i]:
             raise StructuralError(f"dt {dt!r} is listed more than once")
-        n_full[dt] = plan_steps(scenario.t_end, check_positive(dt, "dt"))[0]
-    cells = []
+        plan_steps(scenario.t_end, check_positive(dt, "dt"))
+    cells, first = [], None
     for name in movers.MOVER_NAMES:
         mover = movers.MoverKind(name, base.mover.terms)
         for dt in sorted(dts):
-            config = replace(base, mover=mover, dt=dt, output_stride=n_full[dt] + 1)
+            stream = clouds(scenario, replace(base, mover=mover, dt=dt))
             try:
-                final = run(scenario, config)[-1]
+                cloud = next(stream)
+                if first is None:
+                    first = _record(cloud, scenario)
+                for cloud in stream:
+                    pass
+                final = _record(cloud, scenario, first)
                 cells.append(SweepCell(name, dt, final.eps_dia, final.eps_x, final.eps_V))
             except LagmoveError as exc:
                 error = f"{type(exc).__name__}: {exc}"

@@ -2,12 +2,13 @@
 
 Each check takes no argument, is deterministic and returns (passed,
 detail); acceptance criteria 1, 6, 8 and 10 run the same functions. A check
-runs the code a run runs: ``position_history`` is the one loop over
-``step``, on the run's own step plan, and the fit is the run's zero-fallback
-``gfdm.all_gradients``. A NaN in any case fails its check. The
-finite-difference and scheme-recurrence checks take the worst of a per-case
-function that the tests run case by case. The other public functions are
-oracles the tests share.
+runs the code a run runs: ``position_history`` stacks the positions of
+the run's own stream, ``scenarios.clouds``, and the fit is the run's
+zero-fallback ``gfdm.all_gradients``. ``scheme_history`` walks the step
+plan on its own, as an oracle independent of the stream. A NaN in any
+case fails its check. The finite-difference and scheme-recurrence checks
+take the worst of a per-case function that the tests run case by case.
+The other public functions are oracles the tests share.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from scipy.linalg import expm
 
 from . import gfdm, movers, neighbors
 from .fields import LinearField, Lissajous, ModulatedRotation, RigidRotation
-from .scenarios import SCENARIOS, RunConfig, initial_cloud, make_scenario, plan_steps, sample_disc, step
+from .scenarios import SCENARIOS, RunConfig, clouds, make_scenario, plan_steps, sample_disc
 
 # the fields whose closed-form gradient is checked, by test id
 FIELDS = {
@@ -70,16 +71,10 @@ def phi1_expm(a, v, dt):
 
 
 def position_history(scenario, config):
-    """(n + 1, N, 2) positions: the initial cloud, then after each of the n
-    calls of ``step`` that ``plan_steps(scenario.t_end, config.dt)`` gives,
-    the shortened last one included."""
-    n_full, remainder = plan_steps(scenario.t_end, config.dt)
-    cloud = initial_cloud(scenario, config)
-    snaps = [cloud.positions]
-    for dt in [None] * n_full + ([remainder] if remainder > 0.0 else []):
-        cloud = step(cloud, scenario, config, dt)
-        snaps.append(cloud.positions)
-    return np.array(snaps)
+    """(n + 1, N, 2) positions: the stack of ``scenarios.clouds``' positions,
+    the initial cloud and then one after each of the n steps of the run's
+    plan, the shortened last one included."""
+    return np.array([cloud.positions for cloud in clouds(scenario, config)])
 
 
 def _series_matrix(a, dt, terms, offset):

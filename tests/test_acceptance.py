@@ -14,11 +14,11 @@ from lagmove.cloud import make_cloud
 from lagmove.movers import MoverKind
 from lagmove.scenarios import (
     RunConfig,
+    clouds,
     convergence_sweep,
     make_scenario,
     plan_steps,
     run,
-    step,
 )
 from lagmove.validate import position_history
 
@@ -56,11 +56,9 @@ def test_criterion_2_m1_radius_growth():
         sc.field.gradient(pos, 0.0),
         dt=dt,
     )
+    for cloud in clouds(sc, cfg, start=cloud):
+        pass
     n_full, rem = plan_steps(t_end, dt)
-    for _ in range(n_full):
-        cloud = step(cloud, sc, cfg)
-    if rem > 0.0:
-        cloud = step(cloud, sc, cfg, dt=rem)
     radius = float(np.linalg.norm(cloud.positions[0]))
     # per-step radius factor sqrt(1 + (w dt)^2); dt does not divide 4*pi,
     # so the oracle includes the shortened final step explicitly

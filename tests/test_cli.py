@@ -331,13 +331,13 @@ def test_sweep_rejects_bad_time_steps(dts, capsys):
 
 def test_sweep_checks_every_time_step_before_its_first_cell(monkeypatch, capsys):
     calls = []
-    original = scenarios.run
+    original = scenarios.clouds
 
-    def counted(scenario, config):
+    def counted(scenario, config, start=None):
         calls.append(config.dt)
-        return original(scenario, config)
+        return original(scenario, config, start)
 
-    monkeypatch.setattr(scenarios, "run", counted)
+    monkeypatch.setattr(scenarios, "clouds", counted)
     assert cli.main(["sweep", "--dts", "0.1,inf", "--t-end", "0.3"]) == 2
     assert calls == []
     assert capsys.readouterr().err.startswith("error: dt must be finite, got inf")
@@ -352,13 +352,13 @@ def test_sweep_names_a_time_step_past_the_plan_limit(tmp_path, capsys):
 
 def test_sweep_rejects_a_repeated_time_step(monkeypatch, tmp_path, capsys):
     calls = []
-    original = scenarios.run
+    original = scenarios.clouds
 
-    def counted(scenario, config):
+    def counted(scenario, config, start=None):
         calls.append(config.dt)
-        return original(scenario, config)
+        return original(scenario, config, start)
 
-    monkeypatch.setattr(scenarios, "run", counted)
+    monkeypatch.setattr(scenarios, "clouds", counted)
     out = tmp_path / "bad.csv"
     assert cli.main(["sweep", "--dts", "0.2,0.1,0.2", "--t-end", "0.4", "--out", str(out)]) == 2
     assert calls == [] and not out.exists()

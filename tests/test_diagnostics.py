@@ -306,6 +306,24 @@ def test_non_finite_large_set_rejected():
         measure(pos)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e154, 1e155, -1e200, 1e308])
+def test_coordinates_past_the_limit_are_a_numeric_input_error(scale):
+    # the hull filter would square them into an overflow, and Qhull would
+    # then call the disc flat: the honest error names the overflow
+    with pytest.raises(NumericInputError, match="overflow a float"):
+        measure(scale * sample_disc((0.0, 0.0), 1.0, 222))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coordinates_up_to_the_limit_are_measured():
+    dia, area = measure(1e150 * sample_disc((0.0, 0.0), 1.0, 222))
+    assert dia == 2e150 and area == pytest.approx(3.1187e300, rel=1e-4)
+    m = diagnostics.MAX_COORDINATE
+    square = points([[m, m], [-m, m], [-m, -m], [m, -m], [0.0, 0.0]])
+    assert measure(square) == (2.0**511 * np.sqrt(2.0), 2.0**1022)
+
+
 @pytest.fixture
 def hull_rows(monkeypatch):
     """Row counts of the arrays handed to Qhull."""

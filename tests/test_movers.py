@@ -5,12 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lagmove import movers
 from lagmove.cloud import LevelSeries, advance_history, make_cloud
 from lagmove.errors import HistoryMissingError, NumericInputError, StructuralError
 from lagmove.movers import (
     DEFAULT_TERMS,
     MOVER_NAMES,
     MoverKind,
+    _build_series_matrix_t,
     _series_coefficients,
     _series_matrix_t,
     apply_series,
@@ -21,7 +23,7 @@ from lagmove.movers import (
     move_m3,
     move_m4,
 )
-from lagmove.scenarios import SCENARIOS
+from lagmove.scenarios import SCENARIOS, RunConfig, make_scenario, run
 from lagmove.validate import FIELDS, phi1_expm
 
 
@@ -206,6 +208,72 @@ def test_shared_series_matrix_is_the_kernels_bit_for_bit(terms, offset):
     for a, dt in [*criterion_8_draws(), *jacobians]:
         want = exp_series_apply(np.broadcast_to(a, (2, 2, 2)), np.eye(2), dt, terms, offset)
         assert np.array_equal(_series_matrix_t(a, _series_coefficients(dt, terms, offset)), want)
+
+
+@pytest.fixture
+def builds(monkeypatch) -> list:
+    """The coefficient tuple of each S^T built from here on, from an empty memo."""
+    movers._cached_series_matrix_t.cache_clear()
+    built = []
+
+    def counted(g, coeffs):
+        built.append(coeffs)
+        return _build_series_matrix_t(g, coeffs)
+
+    monkeypatch.setattr(movers, "_build_series_matrix_t", counted)
+    yield built
+    movers._cached_series_matrix_t.cache_clear()
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_series_matrix_memo_keys_on_the_jacobians_bytes(builds, entry):
+    # the two Jacobians compare equal; each gets its own entry, and both
+    # equal a fresh build to the sign of every zero
+    coeffs = _series_coefficients(0.1, 5, 0)
+    plus = np.array([[0.0, 0.0], [0.0, 0.0]])
+    plus[1 - entry[0], 1 - entry[1]] = -1.5
+    minus = plus.copy()
+    minus[entry] = -0.0
+    assert np.array_equal(plus, minus) and plus.tobytes() != minus.tobytes()
+    for g in (plus, minus, plus, minus):
+        got = _series_matrix_t(g, coeffs)
+        fresh = _build_series_matrix_t(tuple(g.ravel()), coeffs)
+        assert np.array_equal(got, fresh) and np.array_equal(np.signbit(got), np.signbit(fresh))
+    assert builds == [coeffs, coeffs]
+
+
+def test_series_matrix_memo_is_read_only(builds):
+    s_t = _series_matrix_t(np.array([[0.2, 1.0], [0.3, -0.2]]), _series_coefficients(0.05, 5, 1))
+    assert not s_t.flags.writeable
+    with pytest.raises(ValueError):
+        s_t[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("mover, tuples", [("m3", 2), ("m4", 3)])
+@pytest.mark.parametrize("name", ["rotation", "lissajous", "linear-field"])
+def test_steady_run_builds_one_series_matrix_per_coefficient_tuple(builds, name, mover, tuples):
+    # 20 steps of 0.05 and a shortened one of 0.02: m3 reads offset 0 at both
+    # dts; m4 offset 0 at 0.05 (its m3 bootstrap) and offset 1 at both
+    run(make_scenario(name, t_end=1.02), RunConfig(mover=MoverKind(mover), dt=0.05))
+    assert len(builds) == len(set(builds)) == tuples
+
+
+@pytest.mark.parametrize("mover", ["m3", "m4"])
+def test_unsteady_run_builds_one_series_matrix_per_level(monkeypatch, builds, mover):
+    # each level of the modulated rotation has its own Jacobian, except where
+    # sin(pi t) repeats its bits (t and 1 - t); m4 reads each level's series
+    # at 0.05, and the last two levels' at the shortened step's 0.02 too
+    calls = []
+    original = movers.apply_series
+
+    def keyed(grad, v, dt, terms, offset):
+        calls.append((grad[0].tobytes(), _series_coefficients(dt, terms, offset)))
+        return original(grad, v, dt, terms, offset)
+
+    monkeypatch.setattr(movers, "apply_series", keyed)
+    run(make_scenario("modulated-rotation", t_end=1.02), RunConfig(mover=MoverKind(mover), dt=0.05))
+    assert len(calls) == {"m3": 21, "m4": 23}[mover]
+    assert len(builds) == len(set(calls)) > len(calls) // 2
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,14 @@
 from dataclasses import replace
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from lagmove import diagnostics, gfdm, movers, neighbors, scenarios
 from lagmove.cloud import PointCloud, make_cloud
-from lagmove.errors import NumericInputError, StructuralError
+from lagmove.errors import DegenerateGeometryError, NumericInputError, StructuralError
 from lagmove.fields import (
     LinearField,
     Lissajous,
@@ -23,6 +24,7 @@ from lagmove.scenarios import (
     SCENARIOS,
     RunConfig,
     Scenario,
+    clouds,
     convergence_sweep,
     initial_cloud,
     make_scenario,
@@ -532,8 +534,8 @@ def test_term_count_change_recomputes_series():
 PAPER_DTS = [0.2, 0.1, 0.05, 0.025]
 
 
-def test_paper_sweep_builds_two_hulls_per_cell(monkeypatch):
-    # the first record (start centroid and volume) and the final one
+def test_paper_sweep_builds_one_start_hull_and_one_per_cell(monkeypatch):
+    # the start record (centroid and volume), shared by every cell, and each cell's final one
     hulls = []
     original = diagnostics.ConvexHull
 
@@ -544,7 +546,40 @@ def test_paper_sweep_builds_two_hulls_per_cell(monkeypatch):
     monkeypatch.setattr(diagnostics, "ConvexHull", counted)
     cells = convergence_sweep(make_scenario("rotation"), config(), PAPER_DTS)
     assert len(cells) == 16
-    assert len(hulls) == 2 * 16
+    assert len(hulls) == 1 + 16
+
+
+def test_a_failed_start_record_fails_every_cell_alike(monkeypatch):
+    # the start record is shared only once built: each cell retries it and
+    # fails with the same error, as when every cell built its own
+    calls = []
+
+    def flat(positions):
+        calls.append(1)
+        raise DegenerateGeometryError("degenerate point set: flat")
+
+    monkeypatch.setattr(diagnostics, "measure", flat)
+    cells = convergence_sweep(make_scenario("rotation"), config(), PAPER_DTS)
+    assert len(cells) == len(calls) == 16 and all(c.failed for c in cells)
+    assert {c.error for c in cells} == {"DegenerateGeometryError: degenerate point set: flat"}
+    assert np.isnan([[c.eps_dia, c.eps_x, c.eps_V] for c in cells]).all()
+
+
+@pytest.mark.parametrize("t_end, last", [(1.0, 20), (1.02, 21)], ids=["whole", "short-last"])
+def test_clouds_stream_the_plan_and_hold_no_earlier_cloud(t_end, last):
+    sc, cfg = make_scenario("modulated-rotation", t_end=t_end), config("m4")
+    start = initial_cloud(sc, cfg)
+    stream = clouds(sc, cfg, start)
+    assert next(stream) is start
+    held = weakref.ref(start)
+    del start
+    steps = []
+    for cloud in stream:
+        steps.append(cloud.step)
+        assert held() is None       # the cloud before, the given start included, is dropped
+        held = weakref.ref(cloud)
+    assert steps == list(range(1, last + 1))
+    assert abs(cloud.time - sc.t_end) <= 1e-12      # the shortened step lands on t_end
 
 
 @pytest.mark.parametrize(
