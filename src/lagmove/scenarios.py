@@ -248,16 +248,14 @@ def plan_steps(t_end: float, dt: float) -> tuple[int, float]:
     return n_full, remainder
 
 
-def clouds(scenario: Scenario, config: RunConfig, start: PointCloud | None = None):
-    """The run's clouds, one at a time: ``start`` (the scenario's initial
-    cloud when None), then the cloud after each step of
-    ``plan_steps(scenario.t_end, config.dt)``, the shortened last step
-    included, its clock pinned to its landing time. The plan is checked
-    before the first cloud is built. Only the current cloud is held, so a
-    run's memory does not grow with its steps."""
+def clouds(scenario: Scenario, config: RunConfig):
+    """The run's clouds, one at a time: the scenario's initial cloud, then
+    the cloud after each step of ``plan_steps(scenario.t_end, config.dt)``,
+    the shortened last step included, its clock pinned to its landing time.
+    The plan is checked before the first cloud is built. Only the current
+    cloud is held, so a run's memory does not grow with its steps."""
     n_full, remainder = plan_steps(scenario.t_end, config.dt)
-    cloud = initial_cloud(scenario, config) if start is None else start
-    del start       # the stream holds its current cloud alone
+    cloud = initial_cloud(scenario, config)
     yield cloud
     for _ in range(n_full):
         cloud = step(cloud, scenario, config)

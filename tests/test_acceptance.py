@@ -10,9 +10,9 @@ import time
 import numpy as np
 
 from lagmove import cli, validate
-from lagmove.cloud import make_cloud
 from lagmove.movers import MoverKind
 from lagmove.scenarios import (
+    MIN_POINTS,
     RunConfig,
     clouds,
     convergence_sweep,
@@ -47,16 +47,10 @@ def test_criterion_1_reduction_identities():
 def test_criterion_2_m1_radius_growth():
     t0 = time.time()
     dt, t_end = 0.01, 4 * np.pi
-    sc = make_scenario("rotation", t_end=t_end)
-    cfg = config("m1", dt)
-    pos = np.array([[1.0, 0.0]])
-    cloud = make_cloud(
-        pos,
-        sc.field.evaluate(pos, 0.0),
-        sc.field.gradient(pos, 0.0),
-        dt=dt,
-    )
-    for cloud in clouds(sc, cfg, start=cloud):
+    # the smallest disc's row 0 starts at (1, 0), and m1 and the rotation
+    # field act point by point, so it moves as a lone point there would
+    sc = make_scenario("rotation", n=MIN_POINTS, t_end=t_end)
+    for cloud in clouds(sc, config("m1", dt)):
         pass
     n_full, rem = plan_steps(t_end, dt)
     radius = float(np.linalg.norm(cloud.positions[0]))

@@ -333,9 +333,9 @@ def test_sweep_checks_every_time_step_before_its_first_cell(monkeypatch, capsys)
     calls = []
     original = scenarios.clouds
 
-    def counted(scenario, config, start=None):
+    def counted(scenario, config):
         calls.append(config.dt)
-        return original(scenario, config, start)
+        return original(scenario, config)
 
     monkeypatch.setattr(scenarios, "clouds", counted)
     assert cli.main(["sweep", "--dts", "0.1,inf", "--t-end", "0.3"]) == 2
@@ -354,9 +354,9 @@ def test_sweep_rejects_a_repeated_time_step(monkeypatch, tmp_path, capsys):
     calls = []
     original = scenarios.clouds
 
-    def counted(scenario, config, start=None):
+    def counted(scenario, config):
         calls.append(config.dt)
-        return original(scenario, config, start)
+        return original(scenario, config)
 
     monkeypatch.setattr(scenarios, "clouds", counted)
     out = tmp_path / "bad.csv"

@@ -568,15 +568,16 @@ def test_a_failed_start_record_fails_every_cell_alike(monkeypatch):
 @pytest.mark.parametrize("t_end, last", [(1.0, 20), (1.02, 21)], ids=["whole", "short-last"])
 def test_clouds_stream_the_plan_and_hold_no_earlier_cloud(t_end, last):
     sc, cfg = make_scenario("modulated-rotation", t_end=t_end), config("m4")
-    start = initial_cloud(sc, cfg)
-    stream = clouds(sc, cfg, start)
-    assert next(stream) is start
+    stream = clouds(sc, cfg)
+    start = next(stream)
+    assert start.step == 0
+    np.testing.assert_array_equal(start.positions, initial_cloud(sc, cfg).positions)
     held = weakref.ref(start)
     del start
     steps = []
     for cloud in stream:
         steps.append(cloud.step)
-        assert held() is None       # the cloud before, the given start included, is dropped
+        assert held() is None       # the cloud before, the start included, is dropped
         held = weakref.ref(cloud)
     assert steps == list(range(1, last + 1))
     assert abs(cloud.time - sc.t_end) <= 1e-12      # the shortened step lands on t_end
