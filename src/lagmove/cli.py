@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", default="rotation", choices=sorted(scenarios.SCENARIOS))
         p.add_argument("--t-end", type=float, default=None)
-        p.add_argument("--gradient", default="analytic", choices=("analytic", "numeric"))
+        p.add_argument("--gradient", default="analytic", choices=scenarios.GRADIENT_MODES)
         p.add_argument("--terms", type=int, default=5)
         p.add_argument("--out", default=None)
         p.add_argument("--summary", default=None)

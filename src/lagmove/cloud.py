@@ -15,9 +15,10 @@ Only m3 and m4 read a velocity gradient, so a level holds one only in
 their runs; an m1 or m2 run's clouds hold None at both gradient levels.
 Clouds only read their arrays, so a gradient may be a read-only view: an
 analytic run's gradients are the views ``fields.gradient`` builds, one
-(2, 2) matrix broadcast to (N, 2, 2), whose series the movers apply as one
-(2, 2) matrix; a numeric run's are full (N, 2, 2) arrays, whose series
-they evaluate row by row.
+(2, 2) matrix broadcast to (N, 2, 2), and a numeric run's are full
+(N, 2, 2) arrays. The movers take either to ``movers.exp_series_apply``,
+the one series entry point, which applies a view's series as one (2, 2)
+matrix and a full array's row by row.
 
 A step-0 cloud holds one level and no history: its previous velocity
 and gradient levels are None until ``advance_history`` shifts the current

@@ -2,12 +2,13 @@
 
 lagmove is 2-D. A point array (positions, velocities, displacements) is a
 numeric (N, 2) array with N >= 1, a gradient array is (N, 2, 2), a time
-step, length or radius is a finite positive real, not a bool, and a count
-(points, series terms, output stride) is an integral number, not a bool,
-with a lower bound. A center is one finite point. ``check_points``,
-``check_center``, ``check_positive`` and ``check_count`` are the only
-places that decide this; every malformed input they meet raises a
-``StructuralError`` or one of its subclasses.
+step, length or radius is a finite positive real, a field's rate is a
+finite real, and a count (points, series terms, output stride) is an
+integral number with a lower bound; none of them is a bool. A center is
+one finite point. ``check_points``, ``check_center``, ``check_real``,
+``check_positive`` and ``check_count`` are the only places that decide
+this; every malformed input they meet raises a ``StructuralError`` or one
+of its subclasses.
 """
 import math
 import numbers
@@ -104,12 +105,17 @@ def check_count(x: int, what: str, minimum: int) -> int:
     return x
 
 
-def check_positive(x: float, what: str) -> float:
-    """``x`` itself, if it is a finite positive real (not a bool)."""
+def check_real(x: float, what: str) -> float:
+    """``x`` itself, if it is a finite real (not a bool)."""
     if type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
         raise StructuralError(f"{what} must be a real number, not {type(x).__name__}")
     if not math.isfinite(x):
         raise NumericInputError(f"{what} must be finite, got {x}")
-    if x <= 0:
+    return x
+
+
+def check_positive(x: float, what: str) -> float:
+    """``x`` itself, if it is a finite positive real (not a bool)."""
+    if check_real(x, what) <= 0:
         raise StructuralError(f"{what} must be positive, got {x}")
     return x

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, check_center, check_points
+from .errors import DimensionError, check_center, check_points, check_real
 
 _ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -57,6 +57,7 @@ class RigidRotation(_AffineField):
 
     def __post_init__(self):
         check_center(self.center, "center")
+        check_real(self.omega, "omega")
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         check_points(x, "x", finite=False)
@@ -104,6 +105,8 @@ class LinearField(_AffineField):
             shapes = None
         if shapes != ((2, 2), (2,)):
             raise DimensionError(f"LinearField needs a (2, 2) A and a (2,) b, got {self.A} and {self.b}")
+        check_points(np.asarray(self.A), "A")    # two finite numeric rows
+        check_center(self.b, "b")
 
     def jacobian(self, t: float) -> np.ndarray:
         return np.array(self.A, dtype=float)
@@ -136,6 +139,8 @@ class ModulatedRotation(_AffineField):
 
     def __post_init__(self):
         check_center(self.center, "center")
+        check_real(self.omega0, "omega0")
+        check_real(self.modulation_freq, "modulation_freq")
 
     def rate(self, t: float) -> float:
         return self.omega0 * (1.0 + 0.5 * np.sin(2.0 * np.pi * self.modulation_freq * t))

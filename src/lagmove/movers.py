@@ -18,27 +18,23 @@ gradient only for m3 and m4. The movers read both levels from a
 ``PointCloud``, checked when they were installed, and integrate over
 ``dt``; backward differences span the levels' spacing ``cloud.dt``.
 Velocities are (N, 2), gradients (N, 2, 2); a level m3 or m4 reads without
-a gradient raises ``StructuralError``. The series
-kernel works on components: each matrix-vector product is four elementwise
-multiply-adds over the point axis, and its result is laid out like ``v``: a
-run's column-major velocities give contiguous columns.
+a gradient raises ``StructuralError``.
 
-m3 and m4 take each level's series from ``apply_series``. The series is
-linear in v, so where every point shares one gradient matrix G (a row
-stride of 0, as in an analytic run) it is one (2, 2) matrix S applied to
-every point. S^T is built from G's four floats by the kernel's own products
-and sums in the kernel's order, so it equals the kernel's S^T on the two
-unit rows bit for bit, and one matmul applies it. S^T is memoized,
-read-only, on G's bytes and the coefficient tuple, so a steady field's
-levels, which share G, build it once per (dt, terms, offset); the inputs
-are still checked on every call. A full gradient, such as a numeric
-run's, goes to the kernel row by row.
+``exp_series_apply`` is the one series entry point, for m3, m4 and the
+checks alike; it checks its inputs on every call. Its two routes share one
+routine, ``_series``, which runs the iterated products on Python floats or
+on NumPy columns with the same bits. A gradient of more than one row with
+row stride 0 (an analytic run's broadcast Jacobian G) takes v @ S^T, S^T
+built by ``_series`` from G's four floats on the two unit rows and
+memoized, so a steady field's levels build it once per (dt, terms,
+offset). Any other gradient, a numeric run's or a single row, goes row by
+row: each matrix-vector product is four elementwise multiply-adds over
+the point axis. Either result is laid out like ``v``.
 """
 from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,17 +113,38 @@ def _series_coefficients(dt: float, terms: int, offset: int) -> tuple[float, ...
         ) from None
 
 
-def _series_inputs(grad, v, dt, terms: int, offset: int):
-    """The series' ``grad`` and ``v`` as checked float arrays, and its
-    coefficients: the input contract of ``exp_series_apply``."""
-    check_count(terms, "terms", 1)
-    if check_count(offset, "offset", 0) > 1:
-        raise StructuralError(f"offset must be 0 or 1, got {offset}")
-    dt = float(check_positive(dt, "dt"))   # a NumPy scalar's power overflows to inf, a float's raises
-    coeffs = _series_coefficients(dt, terms, offset)
-    v = check_points(np.asarray(v, dtype=float), "v", finite=False)
-    grad = check_points(np.asarray(grad, dtype=float), "grad", len(v), gradient=True, finite=False)
-    return grad, v, coeffs
+def _series(g, w, coeffs: tuple[float, ...]):
+    """sum_k coeffs[k] G^k w, as the pair (s0, s1), by iterated products:
+    w0' = g00 w0 + g01 w1, w1' = g10 w0 + g11 w1, s += c w. ``g`` is G's
+    rows ((g00, g01), (g10, g11)) and ``w`` is (w0, w1), all Python floats
+    or all NumPy columns over the points. Each operation rounds once in
+    either, so a column's entries equal the floats' run on its rows, bit
+    for bit; the in-place sums update arrays this routine made."""
+    (g00, g01), (g10, g11) = g
+    w0, w1 = w
+    s0, s1 = coeffs[0] * w0, coeffs[0] * w1
+    for c in coeffs[1:]:
+        n0 = g00 * w0
+        n0 += g01 * w1
+        n1 = g10 * w0
+        n1 += g11 * w1
+        w0, w1 = n0, n1
+        s0 += c * w0
+        s1 += c * w1
+    return s0, s1
+
+
+@functools.lru_cache(maxsize=SERIES_MATRICES_CACHED)
+def _series_matrix_t(g_bytes: bytes, coeffs: tuple[float, ...]) -> np.ndarray:
+    """S^T for S = sum_k coeffs[k] G^k, G the (2, 2) float matrix whose
+    C-order bytes are ``g_bytes``: row k is ``_series`` of the unit row e_k
+    on G's four floats. Read-only, since every later call with its key
+    shares it. Byte keys are exact: Jacobians that differ in any bit, 0.0
+    against -0.0 included, never share an entry."""
+    g = np.frombuffer(g_bytes).reshape(2, 2).tolist()
+    s_t = np.array([_series(g, (1.0, 0.0), coeffs), _series(g, (0.0, 1.0), coeffs)])
+    s_t.setflags(write=False)
+    return s_t
 
 
 def exp_series_apply(
@@ -135,85 +152,31 @@ def exp_series_apply(
 ) -> np.ndarray:
     """Truncated matrix-exponential integral applied to a vector batch.
 
-    Returns sum_{k=0}^{terms-1} grad^k v dt^(k+1+offset) / (k+1+offset)!
-    evaluated by iterated matrix-vector products; grad powers are never
-    formed explicitly. offset=0 is the streamline displacement series,
-    offset=1 the inner sums of the change-of-streamlines scheme. Each
-    product works on the components g_ij = grad[:, i, j] and w_i of
-    grad^k v, row by row: w0' = g00 w0 + g01 w1, w1' = g10 w0 + g11 w1.
-    A coefficient dt^p / p! too large for a float raises NumericInputError.
-    ``offset`` is an integer as ``check_count`` takes one (a NumPy integer
-    is accepted, a bool or a float is not) of value 0 or 1. ``grad`` may be
-    a broadcast view; its stride-0 columns give the same bits as full ones.
+    Returns sum_{k=0}^{terms-1} grad^k v dt^(k+1+offset) / (k+1+offset)!,
+    laid out like ``v``, by iterated matrix-vector products (``_series``);
+    grad powers are never formed explicitly. offset=0 is the streamline
+    displacement series, offset=1 the inner sums of the change-of-streamlines
+    scheme. A gradient of more than one row with row stride 0 (a broadcast
+    Jacobian, as an analytic run installs) is one matrix G, so the series
+    is v @ S^T, S^T built from G's four floats and memoized. Any other
+    gradient, one row included, runs the products on its component columns,
+    row by row. A coefficient dt^p / p! too large for a float raises
+    NumericInputError. ``offset`` is an integer as ``check_count`` takes
+    one (a NumPy integer is accepted, a bool or a float is not) of value 0 or 1.
     """
-    grad, v, coeffs = _series_inputs(grad, v, dt, terms, offset)
-    g00, g01, g10, g11 = grad[:, 0, 0], grad[:, 0, 1], grad[:, 1, 0], grad[:, 1, 1]
-    w0, w1 = v[:, 0], v[:, 1]
+    check_count(terms, "terms", 1)
+    if check_count(offset, "offset", 0) > 1:
+        raise StructuralError(f"offset must be 0 or 1, got {offset}")
+    dt = float(check_positive(dt, "dt"))   # a NumPy scalar's power overflows to inf, a float's raises
+    coeffs = _series_coefficients(dt, terms, offset)
+    v = check_points(np.asarray(v, dtype=float), "v", finite=False)
+    grad = check_points(np.asarray(grad, dtype=float), "grad", len(v), gradient=True, finite=False)
+    if grad.strides[0] == 0 and len(grad) > 1:
+        return np.matmul(v, _series_matrix_t(grad[0].tobytes(), coeffs), out=np.empty_like(v))
+    g = ((grad[:, 0, 0], grad[:, 0, 1]), (grad[:, 1, 0], grad[:, 1, 1]))
     out = np.empty_like(v)
-    out0, out1 = out[:, 0], out[:, 1]
-    np.multiply(coeffs[0], w0, out=out0)
-    np.multiply(coeffs[0], w1, out=out1)
-    for c in coeffs[1:]:
-        n0 = g00 * w0
-        n0 += g01 * w1
-        n1 = g10 * w0
-        n1 += g11 * w1
-        w0, w1 = n0, n1
-        out0 += c * w0
-        out1 += c * w1
+    out[:, 0], out[:, 1] = _series(g, (v[:, 0], v[:, 1]), coeffs)
     return out
-
-
-def _build_series_matrix_t(g: tuple[float, float, float, float], coeffs: tuple[float, ...]) -> np.ndarray:
-    """S^T for S = sum_k coeffs[k] G^k, G the (2, 2) matrix whose entries
-    g00, g01, g10, g11 are ``g``.
-
-    Row k is S e_k, evaluated as the kernel evaluates the unit row e_k: the
-    same products and sums in the same order, each rounded once in Python
-    floats as each NumPy operation rounds, so the result equals
-    ``exp_series_apply`` on G and the two unit rows bit for bit.
-    """
-    g00, g01, g10, g11 = g
-    rows = []
-    for w0, w1 in ((1.0, 0.0), (0.0, 1.0)):
-        s0, s1 = coeffs[0] * w0, coeffs[0] * w1
-        for c in coeffs[1:]:
-            w0, w1 = g00 * w0 + g01 * w1, g10 * w0 + g11 * w1
-            s0 += c * w0
-            s1 += c * w1
-        rows.append((s0, s1))
-    return np.array(rows)
-
-
-@functools.lru_cache(maxsize=SERIES_MATRICES_CACHED)
-def _cached_series_matrix_t(g_bytes: bytes, coeffs: tuple[float, ...]) -> np.ndarray:
-    s_t = _build_series_matrix_t(struct.unpack("4d", g_bytes), coeffs)
-    s_t.setflags(write=False)     # every later call with this key shares it
-    return s_t
-
-
-def _series_matrix_t(g: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
-    """``_build_series_matrix_t`` of the float (2, 2) array ``g``, read-only
-    and memoized on g's bytes and ``coeffs`` in an LRU: a steady field's
-    levels share one Jacobian, so its m3 and m4 steps build one S^T per
-    coefficient tuple. Byte keys are exact: Jacobians that differ in any
-    bit, 0.0 against -0.0 included, never share an entry."""
-    return _cached_series_matrix_t(g.tobytes(), coeffs)
-
-
-def apply_series(grad: np.ndarray, v: np.ndarray, dt: float, terms: int, offset: int) -> np.ndarray:
-    """``exp_series_apply(grad, v, dt, terms, offset)`` for a cloud's level.
-
-    When ``grad`` has row stride 0, every row is one matrix G and the series
-    is S v with S = sum_k c_k G^k. After the kernel's input checks, S^T is
-    built from G's four floats with the kernel's bits (``_series_matrix_t``)
-    and ``v @ S^T`` applies it, laid out like ``v``. Any other gradient goes
-    to the kernel as it is.
-    """
-    if grad.strides[0] != 0:
-        return exp_series_apply(grad, v, dt, terms, offset)
-    grad, v, coeffs = _series_inputs(grad, v, dt, terms, offset)
-    return np.matmul(v, _series_matrix_t(grad[0], coeffs), out=np.empty_like(v))
 
 
 def move_m1(cloud: PointCloud, dt: float) -> np.ndarray:
@@ -228,7 +191,7 @@ def move_m2(cloud: PointCloud, dt: float) -> np.ndarray:
 
 def move_m3(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS) -> np.ndarray:
     grad = _level_gradient(cloud.grad_velocities, "m3", "current")
-    return apply_series(grad, cloud.velocities, dt, terms, 0)
+    return exp_series_apply(grad, cloud.velocities, dt, terms, 0)
 
 
 def move_m4(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS):
@@ -240,13 +203,13 @@ def move_m4(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS):
     """
     _require_history(cloud, "m4")
     grad = _level_gradient(cloud.grad_velocities, "m4", "current")
-    s_now = apply_series(grad, cloud.velocities, dt, terms, 1)
+    s_now = exp_series_apply(grad, cloud.velocities, dt, terms, 1)
     old = cloud.series_prev
     if old is not None and old.dt == dt and old.terms == terms:
         s_old = old.values
     else:
         grad_prev = _level_gradient(cloud.grad_velocities_prev, "m4", "previous")
-        s_old = apply_series(grad_prev, cloud.velocities_prev, dt, terms, 1)
+        s_old = exp_series_apply(grad_prev, cloud.velocities_prev, dt, terms, 1)
     disp = s_now - s_old       # a new array: s_now is the next step's s_old
     disp /= cloud.dt
     disp += cloud.velocities * dt

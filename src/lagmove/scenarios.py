@@ -13,9 +13,10 @@ when the scheme reads one (``MoverKind.reads_gradient``: m3 and m4); an m1
 or m2 run builds no gradient, neighbor index or fit. Every field
 is affine, so an analytic gradient is the view ``field.gradient`` builds:
 its (2, 2) Jacobian broadcast to a read-only (N, 2, 2) view whose rows
-share memory. m3 and m4 apply the series of such a view as one (2, 2)
-matrix, which differs from the per-row series only at rounding level. A
-numeric gradient is a full (N, 2, 2) array, whose series is per row. The
+share memory. A numeric gradient is a full (N, 2, 2) array. m3 and m4
+take either to ``movers.exp_series_apply``, the one series entry point: it
+applies a view's series as one (2, 2) matrix, which differs from the
+per-row series only at rounding level, and a full array's row by row. The
 ``PointCloud`` is the one state of a step: the movers read it, the other
 kernels take arrays.
 
@@ -50,6 +51,7 @@ _TIME_EPS = 1e-12
 MAX_STEPS = 10**7  # longest plan accepted; the paper's finest sweep takes 1 257 steps
 PAPER_N = 222  # the paper's disc size
 MIN_POINTS = 4  # fewest points sample_disc lays out off one line; 3 are collinear
+GRADIENT_MODES = ("analytic", "numeric")
 
 
 @dataclass(frozen=True)
@@ -81,12 +83,12 @@ class Scenario:
 class RunConfig:
     mover: movers.MoverKind
     dt: float
-    gradient_mode: str = "analytic"     # analytic | numeric
+    gradient_mode: str = "analytic"     # one of GRADIENT_MODES
     output_stride: int = 10
 
     def __post_init__(self):
         check_positive(self.dt, "dt")
-        if self.gradient_mode not in ("analytic", "numeric"):
+        if self.gradient_mode not in GRADIENT_MODES:
             raise StructuralError(f"unknown gradient mode {self.gradient_mode!r}")
         check_count(self.output_stride, "output stride", 1)
 

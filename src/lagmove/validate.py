@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from . import gfdm, movers, neighbors
 from .fields import LinearField, Lissajous, ModulatedRotation, RigidRotation
-from .scenarios import SCENARIOS, RunConfig, clouds, make_scenario, plan_steps, sample_disc
+from .scenarios import GRADIENT_MODES, SCENARIOS, RunConfig, clouds, make_scenario, plan_steps, sample_disc
 
 # the fields whose closed-form gradient is checked, by test id
 FIELDS = {
@@ -124,12 +124,16 @@ def scheme_history(scenario, config):
     return np.array(snaps)
 
 
-def scheme_recurrence_error(name, mover) -> float:
+def scheme_recurrence_error(name, mover, mode) -> float:
     """Largest gap between ``position_history`` and ``scheme_history`` over
-    one run of scenario ``name`` with ``mover``: 40 steps of 0.05 and a
-    shortened one of 0.03, through the bootstrap. Each step's gap is its
-    largest coordinate difference over max(1, its largest exact coordinate)."""
-    scenario, config = make_scenario(name, t_end=2.03), RunConfig(mover=movers.MoverKind(mover), dt=0.05)
+    one run of scenario ``name`` with ``mover`` and gradient ``mode``: 40
+    steps of 0.05 and a shortened one of 0.03, through the bootstrap. Each
+    step's gap is its largest coordinate difference over max(1, its largest
+    exact coordinate). The oracle reads the exact Jacobian in both modes: a
+    numeric run's fit of an affine field is exact up to rounding, and its
+    full gradient takes the series' per-row route."""
+    scenario = make_scenario(name, t_end=2.03)
+    config = RunConfig(mover=movers.MoverKind(mover), dt=0.05, gradient_mode=mode)
     want = scheme_history(scenario, config)
     err = np.abs(position_history(scenario, config) - want).max(axis=(1, 2))
     return float((err / np.maximum(1.0, np.abs(want).max(axis=(1, 2)))).max())
@@ -180,9 +184,13 @@ def check_series_oracle():
 
 
 def check_scheme_recurrence():
-    """Every scenario under every mover follows its scheme's affine recurrence;
-    the detail names a failing case, a NaN one included, if there is one."""
-    errors = {(name, m): scheme_recurrence_error(name, m) for name in SCENARIOS for m in movers.MOVER_NAMES}
+    """Every scenario under every mover, in both gradient modes, follows its
+    scheme's affine recurrence; the detail names a failing case, a NaN one
+    included, if there is one."""
+    errors = {
+        (name, m, mode): scheme_recurrence_error(name, m, mode)
+        for name in SCENARIOS for m in movers.MOVER_NAMES for mode in GRADIENT_MODES
+    }
     worst = max(errors, key=lambda k: (not errors[k] <= SCHEME_RECURRENCE_BOUND, errors[k]))
     detail = f"max step error {errors[worst]:.3e} relative ({'/'.join(worst)}), bound {SCHEME_RECURRENCE_BOUND:g}"
     return all(e <= SCHEME_RECURRENCE_BOUND for e in errors.values()), detail

@@ -211,8 +211,8 @@ PLANTED_FAULTS = {
     "field-gradients-vs-finite-differences": (RigidRotation, "gradient", scaled_by(1 + 1e-7)),
     "field-gradients-vs-finite-differences/jacobian": (RigidRotation, "jacobian", scaled_by(1 + 1e-7)),
     "field-gradients-vs-finite-differences/nan": (Lissajous, "gradient", scaled_by(np.nan)),
-    "scheme-recurrence": (movers, "apply_series", scaled_by(1 + 1e-9)),
-    "scheme-recurrence/nan": (movers, "apply_series", scaled_by(np.nan)),
+    "scheme-recurrence": (movers, "exp_series_apply", scaled_by(1 + 1e-9)),
+    "scheme-recurrence/nan": (movers, "exp_series_apply", scaled_by(np.nan)),
 }
 
 

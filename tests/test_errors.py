@@ -17,7 +17,7 @@ from lagmove.errors import (
     check_points,
     check_positive,
 )
-from lagmove.fields import ModulatedRotation, RigidRotation
+from lagmove.fields import LinearField, ModulatedRotation, RigidRotation
 from lagmove.gfdm import all_gradients
 from lagmove.movers import MoverKind, exp_series_apply
 from lagmove.neighbors import build_index
@@ -115,6 +115,50 @@ def test_center_must_be_a_finite_2_vector(site, center, error):
     # checked where the center is constructed, not where a run first uses it
     with pytest.raises(error, match="center"):
         CENTER_SITES[site](center)
+
+
+RATE_SITES = {
+    "RigidRotation.omega": lambda x: RigidRotation(omega=x),
+    "ModulatedRotation.omega0": lambda x: ModulatedRotation(omega0=x),
+    "ModulatedRotation.modulation_freq": lambda x: ModulatedRotation(modulation_freq=x),
+}
+
+
+@pytest.mark.parametrize(
+    "rate, error",
+    [("x", StructuralError), (None, StructuralError), (True, StructuralError),
+     (np.nan, NumericInputError), (-np.inf, NumericInputError)],
+    ids=["string", "none", "bool", "nan", "inf"],
+)
+@pytest.mark.parametrize("site", list(RATE_SITES))
+def test_field_rates_must_be_finite_reals(site, rate, error):
+    # checked where the field is constructed, not on its first evaluate
+    with pytest.raises(error, match=f"^{site.split('.')[1]} "):
+        RATE_SITES[site](rate)
+
+
+@pytest.mark.parametrize("rate", [0, 0.0, -2.5, np.float64(1.5)])
+@pytest.mark.parametrize("site", list(RATE_SITES))
+def test_zero_and_negative_field_rates_are_valid(site, rate):
+    RATE_SITES[site](rate)
+
+
+EYE = ((1.0, 0.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "A, b, error, named",
+    [((("a", "b"), ("c", "d")), (0, 0), StructuralError, "A"),
+     (((True, False), (False, True)), (0, 0), StructuralError, "A"),
+     (((np.nan, 0.0), (0.0, 1.0)), (0, 0), NumericInputError, "A"),
+     (((1.0, 0.0), (0.0, np.inf)), (0, 0), NumericInputError, "A"),
+     (EYE, ("0", "0"), StructuralError, "b"),
+     (EYE, (0.0, np.nan), NumericInputError, "b")],
+    ids=["A-string", "A-bool", "A-nan", "A-inf", "b-string", "b-nan"],
+)
+def test_linear_field_entries_must_be_finite_numbers(A, b, error, named):
+    with pytest.raises(error, match=f"^{named} "):
+        LinearField(A=A, b=b)
 
 
 def test_check_count_lower_bound():

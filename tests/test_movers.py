@@ -12,10 +12,8 @@ from lagmove.movers import (
     DEFAULT_TERMS,
     MOVER_NAMES,
     MoverKind,
-    _build_series_matrix_t,
     _series_coefficients,
     _series_matrix_t,
-    apply_series,
     displacement,
     exp_series_apply,
     move_m1,
@@ -151,38 +149,47 @@ def test_series_numpy_integer_offset_accepted():
     )
 
 
+def full(grad):
+    """``grad`` as a full array of its own, which the series takes row by row."""
+    return np.ascontiguousarray(grad)
+
+
 @pytest.mark.parametrize("n", [1, 222, 20_000])
 @pytest.mark.parametrize("offset", [0, 1])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_series_same_bits_on_broadcast_gradient(name, offset, n):
-    # an analytic run hands the series one Jacobian broadcast to (N, 2, 2)
+    # an analytic run hands the series one Jacobian broadcast to (N, 2, 2):
+    # past one row, its series is v @ S^T with the per-row route's S^T, bit
+    # for bit; one row stays on the per-row route
     jac = SCENARIOS[name].field.jacobian(0.7)
+    s_t = exp_series_apply(full(np.broadcast_to(jac, (2, 2, 2))), np.eye(2), 0.05, 5, offset)
     v = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
-    full = exp_series_apply(jac[None].repeat(n, axis=0), v, 0.05, 5, offset)
-    assert np.array_equal(exp_series_apply(np.broadcast_to(jac, (n, 2, 2)), v, 0.05, 5, offset), full)
-    # a run's velocities are column-major: the series keeps that layout and its bits
-    column_major = exp_series_apply(np.broadcast_to(jac, (n, 2, 2)), np.asfortranarray(v), 0.05, 5, offset)
-    assert full.flags.c_contiguous and column_major.flags.f_contiguous
-    assert np.array_equal(column_major, full)
+    # a run's velocities are column-major: the series keeps that layout
+    for vl in (v, np.asfortranarray(v)):
+        got = exp_series_apply(np.broadcast_to(jac, (n, 2, 2)), vl, 0.05, 5, offset)
+        want = (exp_series_apply(full(np.broadcast_to(jac, (n, 2, 2))), vl, 0.05, 5, offset) if n == 1
+                else np.matmul(vl, s_t, out=np.empty_like(vl)))
+        assert got.flags.c_contiguous == vl.flags.c_contiguous and got.flags.f_contiguous == vl.flags.f_contiguous
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 222, 20_000])
 @pytest.mark.parametrize("offset", [0, 1])
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_uniform_series_matches_the_kernel(name, offset, n):
-    # the field's own stride-0 view takes the one-matrix path: S^T with the
-    # kernel's bits on the two unit rows, then v @ S^T, within rounding of
-    # the kernel row by row
+    # the field's own stride-0 view takes the one-matrix route: S^T with the
+    # per-row route's bits on the two unit rows, then v @ S^T, within
+    # rounding of the per-row route
     grad, unit = (FIELDS[name].gradient(np.zeros((rows, 2)), 0.7) for rows in (n, 2))
     assert grad.strides[0] == unit.strides[0] == 0
-    # on the two unit rows, the matmul by S^T gives S^T, the kernel's exactly
-    s_t = exp_series_apply(unit, np.eye(2), 0.05, 5, offset)
-    assert np.array_equal(apply_series(unit, np.eye(2), 0.05, 5, offset), s_t)
+    # on the two unit rows, the matmul by S^T gives S^T, the per-row route's exactly
+    s_t = exp_series_apply(full(unit), np.eye(2), 0.05, 5, offset)
+    assert np.array_equal(exp_series_apply(unit, np.eye(2), 0.05, 5, offset), s_t)
     norm_s = np.abs(s_t).sum(axis=0).max()    # max row sum of S
     v = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
     for layout in (np.ascontiguousarray, np.asfortranarray):
         vl = layout(v)
-        got, want = apply_series(grad, vl, 0.05, 5, offset), exp_series_apply(grad, vl, 0.05, 5, offset)
+        got, want = exp_series_apply(grad, vl, 0.05, 5, offset), exp_series_apply(full(grad), vl, 0.05, 5, offset)
         assert got.flags.c_contiguous == vl.flags.c_contiguous
         assert got.flags.f_contiguous == vl.flags.f_contiguous
         bound = 4 * np.finfo(float).eps * norm_s * np.abs(v).max(axis=1)
@@ -202,27 +209,46 @@ def criterion_8_draws():
 @pytest.mark.parametrize("offset", [0, 1])
 @pytest.mark.parametrize("terms", [1, 2, 5, 20])
 def test_shared_series_matrix_is_the_kernels_bit_for_bit(terms, offset):
-    # criterion 8 checks the kernel alone; this equality makes its numbers the
-    # ones an analytic run applies
+    # criterion 8 checks the per-row route alone; this equality makes its
+    # numbers the ones an analytic run applies
     jacobians = [(f.jacobian(t), dt) for f in FIELDS.values() for t in (0.0, 0.7) for dt in (0.2, 0.05, 0.025)]
     for a, dt in [*criterion_8_draws(), *jacobians]:
-        want = exp_series_apply(np.broadcast_to(a, (2, 2, 2)), np.eye(2), dt, terms, offset)
-        assert np.array_equal(_series_matrix_t(a, _series_coefficients(dt, terms, offset)), want)
+        want = exp_series_apply(full(np.broadcast_to(a, (2, 2, 2))), np.eye(2), dt, terms, offset)
+        assert np.array_equal(_series_matrix_t(a.tobytes(), _series_coefficients(dt, terms, offset)), want)
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("terms", [5, 20])
+def test_one_row_series_takes_the_per_row_route(terms, offset):
+    # a[None] has row stride 0, yet criterion 8's one-point draws keep the
+    # per-row arithmetic: the same bits as a row of its own
+    rng = np.random.default_rng(8)
+    for a, dt in criterion_8_draws():
+        v = rng.normal(size=2)
+        assert np.array_equal(
+            exp_series_apply(a[None], v[None], dt, terms, offset),
+            exp_series_apply(a.reshape(1, 2, 2), v.reshape(1, 2), dt, terms, offset),
+        )
 
 
 @pytest.fixture
 def builds(monkeypatch) -> list:
-    """The coefficient tuple of each S^T built from here on, from an empty memo."""
-    movers._cached_series_matrix_t.cache_clear()
+    """The coefficient tuple of each S^T the memo builds from here on, from
+    an empty memo: ``movers._series_matrix_t`` counted by its misses."""
+    memo = movers._series_matrix_t
+    memo.cache_clear()
     built = []
 
-    def counted(g, coeffs):
-        built.append(coeffs)
-        return _build_series_matrix_t(g, coeffs)
+    def counted(g_bytes, coeffs):
+        misses = memo.cache_info().misses
+        s_t = memo(g_bytes, coeffs)
+        if memo.cache_info().misses > misses:
+            built.append(coeffs)
+        return s_t
 
-    monkeypatch.setattr(movers, "_build_series_matrix_t", counted)
+    monkeypatch.setattr(movers, "_series_matrix_t", counted)
     yield built
-    movers._cached_series_matrix_t.cache_clear()
+    memo.cache_clear()
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -236,14 +262,15 @@ def test_series_matrix_memo_keys_on_the_jacobians_bytes(builds, entry):
     minus[entry] = -0.0
     assert np.array_equal(plus, minus) and plus.tobytes() != minus.tobytes()
     for g in (plus, minus, plus, minus):
-        got = _series_matrix_t(g, coeffs)
-        fresh = _build_series_matrix_t(tuple(g.ravel()), coeffs)
+        got = movers._series_matrix_t(g.tobytes(), coeffs)
+        fresh = _series_matrix_t.__wrapped__(g.tobytes(), coeffs)
         assert np.array_equal(got, fresh) and np.array_equal(np.signbit(got), np.signbit(fresh))
     assert builds == [coeffs, coeffs]
 
 
 def test_series_matrix_memo_is_read_only(builds):
-    s_t = _series_matrix_t(np.array([[0.2, 1.0], [0.3, -0.2]]), _series_coefficients(0.05, 5, 1))
+    g = np.array([[0.2, 1.0], [0.3, -0.2]])
+    s_t = movers._series_matrix_t(g.tobytes(), _series_coefficients(0.05, 5, 1))
     assert not s_t.flags.writeable
     with pytest.raises(ValueError):
         s_t[0, 0] = 1.0
@@ -264,13 +291,13 @@ def test_unsteady_run_builds_one_series_matrix_per_level(monkeypatch, builds, mo
     # sin(pi t) repeats its bits (t and 1 - t); m4 reads each level's series
     # at 0.05, and the last two levels' at the shortened step's 0.02 too
     calls = []
-    original = movers.apply_series
+    original = movers.exp_series_apply
 
     def keyed(grad, v, dt, terms, offset):
         calls.append((grad[0].tobytes(), _series_coefficients(dt, terms, offset)))
         return original(grad, v, dt, terms, offset)
 
-    monkeypatch.setattr(movers, "apply_series", keyed)
+    monkeypatch.setattr(movers, "exp_series_apply", keyed)
     run(make_scenario("modulated-rotation", t_end=1.02), RunConfig(mover=MoverKind(mover), dt=0.05))
     assert len(calls) == {"m3": 21, "m4": 23}[mover]
     assert len(builds) == len(set(calls)) > len(calls) // 2
@@ -283,12 +310,12 @@ def test_unsteady_run_builds_one_series_matrix_per_level(monkeypatch, builds, mo
     ids=["rows", "terms", "offset", "dt", "overflow"],
 )
 def test_shared_gradient_series_keeps_the_kernel_checks(rows, dt, terms, offset, error):
-    # the stride-0 route never runs the kernel: it raises what the kernel would
+    # the stride-0 route raises what the per-row route would
     grad, v = np.broadcast_to(np.eye(2), (rows, 2, 2)), np.ones((2, 2))
     raised = []
-    for series in (exp_series_apply, apply_series):
+    for g in (grad, full(grad)):
         with pytest.raises(error) as info:
-            series(grad, v, dt, terms, offset)
+            exp_series_apply(g, v, dt, terms, offset)
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]
 

@@ -19,6 +19,7 @@ from lagmove.fields import (
 from lagmove.movers import MoverKind
 from lagmove.neighbors import build_index
 from lagmove.scenarios import (
+    GRADIENT_MODES,
     MAX_STEPS,
     PAPER_N,
     SCENARIOS,
@@ -208,11 +209,16 @@ def test_short_step_keeps_history_spacing():
     assert np.allclose(out.positions - cloud.positions, expected, rtol=0.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("mover", movers.MOVER_NAMES)
-@pytest.mark.parametrize("name", list(SCENARIOS))
-def test_step_follows_the_scheme_recurrence(name, mover):
+@pytest.mark.parametrize(
+    "name, mover, mode",
+    [   # the default, analytic, mode goes unnamed in a case id; the numeric mode is named
+        pytest.param(name, mover, mode, id=f"{name}-{mover}" + ("-numeric" if mode == "numeric" else ""))
+        for mode in GRADIENT_MODES for name in SCENARIOS for mover in movers.MOVER_NAMES
+    ],
+)
+def test_step_follows_the_scheme_recurrence(name, mover, mode):
     # 40 steps of 0.05 and a shortened one of 0.03, through the bootstrap
-    assert scheme_recurrence_error(name, mover) <= SCHEME_RECURRENCE_BOUND
+    assert scheme_recurrence_error(name, mover, mode) <= SCHEME_RECURRENCE_BOUND
 
 
 @pytest.mark.parametrize("history", [False, True], ids=["fresh", "history"])
@@ -430,8 +436,8 @@ def spy(monkeypatch, name) -> list:
 
 
 def series_calls(monkeypatch) -> list:
-    """The rows of ``v`` in each level's series, one ``apply_series`` call each."""
-    return spy(monkeypatch, "apply_series")
+    """The rows of ``v`` in each level's series, one ``exp_series_apply`` call each."""
+    return spy(monkeypatch, "exp_series_apply")
 
 
 @pytest.mark.parametrize("t_end, calls", [(1.0, 21), (1.02, 23)], ids=["whole", "short-last"])
@@ -447,9 +453,17 @@ def test_m4_series_calls_per_run(monkeypatch, t_end, calls):
 @pytest.mark.parametrize("mode, kernel_calls", [("analytic", 0), ("numeric", 6 + 8)])
 def test_series_rows_per_gradient_mode(monkeypatch, mode, kernel_calls):
     # an analytic run's shared (stride-0) gradient gets its series matrix from
-    # the Jacobian's four floats and never runs the kernel; a numeric run's
-    # full gradient goes to the kernel, row by row
-    seen, kernel = series_calls(monkeypatch), spy(monkeypatch, "exp_series_apply")
+    # the Jacobian's four floats and never runs the per-row route; a numeric
+    # run's full gradient goes row by row, over NumPy columns
+    seen, kernel = series_calls(monkeypatch), []
+    series = movers._series
+
+    def per_row(g, w, coeffs):
+        if isinstance(w[0], np.ndarray):
+            kernel.append(len(w[0]))
+        return series(g, w, coeffs)
+
+    monkeypatch.setattr(movers, "_series", per_row)
     for mover in ("m3", "m4"):
         run(make_scenario("modulated-rotation", t_end=0.27), config(mover, dt=0.05, gradient_mode=mode))
     # m3: one call a step; m4: 1 + 2 + 1 + 1 + 1 + 2 (bootstrap, first step, short last step)
