@@ -13,12 +13,12 @@ sampled there. Each array is checked once, where it enters
 (``make_cloud``, ``advance_history``), so its readers trust it.
 Only m3 and m4 read a velocity gradient, so a level holds one only in
 their runs; an m1 or m2 run's clouds hold None at both gradient levels.
-Clouds only read their arrays, so a gradient may be a read-only view: an
-analytic run's gradients are the views ``fields.gradient`` builds, one
-(2, 2) matrix broadcast to (N, 2, 2), and a numeric run's are full
-(N, 2, 2) arrays. The movers take either to ``movers.exp_series_apply``,
-the one series entry point, which applies a view's series as one (2, 2)
-matrix and a full array's row by row.
+A gradient level is either one (2, 2) matrix, the same at every point, or
+a full (N, 2, 2) array: an analytic run's gradients are the Jacobians
+``fields.gradient`` returns, and a numeric run's are the WLSQ fit's. The
+movers take either to ``movers.exp_series_apply``, the one series entry
+point, which applies a matrix's series as one (2, 2) product and a full
+array's row by row.
 
 A step-0 cloud holds one level and no history: its previous velocity
 and gradient levels are None until ``advance_history`` shifts the current
@@ -53,8 +53,8 @@ class PointCloud:
     positions: np.ndarray                    # (N, 2)
     velocities: np.ndarray                   # (N, 2), current level
     velocities_prev: np.ndarray | None       # (N, 2), previous level: None until a step shifts a level in
-    grad_velocities: np.ndarray | None       # (N, 2, 2), current level: None for m1 and m2, which read none
-    grad_velocities_prev: np.ndarray | None  # (N, 2, 2), previous level: None at step 0, and for m1 and m2
+    grad_velocities: np.ndarray | None       # (2, 2) or (N, 2, 2), current level: None for m1 and m2, which read none
+    grad_velocities_prev: np.ndarray | None  # (2, 2) or (N, 2, 2), previous level: None at step 0, and for m1 and m2
     dt: float                                # regular step: the spacing of the two levels
     initial_time: float = 0.0
     step: int = 0
@@ -72,9 +72,13 @@ class PointCloud:
 
 
 def _check_gradient(grad, name: str, n: int) -> np.ndarray | None:
+    """None, one (2, 2) matrix checked as two finite rows, or an (N, 2, 2) array."""
     if grad is None:
         return None
-    return check_points(np.asarray(grad, dtype=float), name, n, gradient=True)
+    grad = np.asarray(grad, dtype=float)
+    if grad.ndim == 2:
+        return check_points(grad, name, 2)
+    return check_points(grad, name, n, gradient=True)
 
 
 def make_cloud(

@@ -1,9 +1,10 @@
 """Exception types shared across the package, and the input contract they guard.
 
 lagmove is 2-D. A point array (positions, velocities, displacements) is a
-numeric (N, 2) array with N >= 1, a gradient array is (N, 2, 2), a time
-step, length or radius is a finite positive real, a field's rate is a
-finite real, and a count (points, series terms, output stride) is an
+numeric (N, 2) array with N >= 1. A gradient is an (N, 2, 2) array or,
+where it is the same at every point, one (2, 2) matrix, checked as two
+points. A time step, length or radius is a finite positive real, a field's
+rate is a finite real, and a count (points, series terms, output stride) is an
 integral number with a lower bound; none of them is a bool. A center is
 one finite point. ``check_points``, ``check_center``, ``check_real``,
 ``check_positive`` and ``check_count`` are the only places that decide
@@ -62,11 +63,9 @@ def check_points(
     when the sum is not finite, because an entry is or because finite
     squares overflow, does an entry-wise scan decide. ``np.vdot`` raises no
     overflow warning, where ``np.dot`` and ``@`` do. Integers are finite.
-    Every row of an array whose row stride is 0 (a ``np.broadcast_to``
-    view) is its first row, so only that row is scanned: ``np.vdot`` would
-    copy the whole view first. The scan reads ``ravel("K")``, the entries
-    in memory order: a view of any contiguous array, where ``np.vdot``
-    would copy a column-major one into row order.
+    The scan reads ``ravel("K")``, the entries in memory order: a view of
+    any contiguous array, where ``np.vdot`` would copy a column-major one
+    into row order.
     """
     tail = (2, 2) if gradient else (2,)
     if not isinstance(x, np.ndarray):
@@ -80,7 +79,7 @@ def check_points(
     if len(x) == 0 or (rows is not None and len(x) != rows):
         raise StructuralError(f"{what} has {len(x)} rows, expected {rows or 'at least 1'}")
     if finite and x.dtype.kind == "f":
-        scanned = (x[:1] if x.strides[0] == 0 else x).ravel("K")
+        scanned = x.ravel("K")
         if not math.isfinite(np.vdot(scanned, scanned)) and not np.isfinite(scanned).all():
             raise NumericInputError(f"{what} contains non-finite entries")
     return x

@@ -3,13 +3,13 @@
 Every field is a pure function of (x, t). ``evaluate`` accepts positions of
 shape (N, 2) and returns (N, 2). Every field is affine in x, so its
 gradient is one matrix at every point: ``jacobian(t)`` returns that (2, 2)
-matrix, and ``gradient`` returns it broadcast to (N, 2, 2), a read-only
-view with row stride 0. That view is what an analytic run installs; a
-numeric run installs the full (N, 2, 2) arrays of the WLSQ fit. Positions
-are checked by shape only: the stepping code scans what fields return.
-Every call returns fresh memory, laid out like ``x`` (a run's positions
-are column-major); both rotations share one matmul-free kernel. Exact
-gradients separate integrator error from reconstruction error.
+matrix, and ``gradient(x, t)`` returns it too, after checking the shape of
+``x``. That (2, 2) matrix is what an analytic run installs; a numeric run
+installs the full (N, 2, 2) array of the WLSQ fit. Positions are checked
+by shape only: the stepping code scans what fields return. Every call
+returns fresh memory, and ``evaluate`` lays it out like ``x`` (a run's
+positions are column-major); both rotations share one matmul-free kernel.
+Exact gradients separate integrator error from reconstruction error.
 """
 from __future__ import annotations
 
@@ -27,15 +27,10 @@ class _AffineField:
     ``jacobian(t)``, which returns a fresh (2, 2) float array."""
 
     def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
-        """``jacobian(t)`` at each of the N rows of ``x``: the view
-        ``np.broadcast_to`` would give, read-only with row stride 0, of a
-        fresh C-ordered (2, 2) array. Built directly, since ``broadcast_to``
-        goes through an iterator and takes 3 us more, a tenth of a step at
-        the paper's size."""
-        n = len(check_points(x, "x", finite=False))
-        matrix = self.jacobian(t)
-        matrix.setflags(write=False)
-        return np.ndarray((n,) + matrix.shape, matrix.dtype, matrix, strides=(0,) + matrix.strides)
+        """The gradient at every row of the (N, 2) ``x``: one fresh (2, 2)
+        matrix, ``jacobian(t)``, since it does not depend on x."""
+        check_points(x, "x", finite=False)
+        return self.jacobian(t)
 
 
 def _rotate(x: np.ndarray, center: tuple[float, float], rate: float) -> np.ndarray:
@@ -153,6 +148,9 @@ class ModulatedRotation(_AffineField):
         return self.rate(t) * _ROT90
 
     def angle(self, t: float) -> float:
-        """Accumulated rotation angle: integral of omega(s) ds over [0, t]."""
+        """Accumulated rotation angle: integral of omega(s) ds over [0, t].
+        Without modulation that is its w -> 0 limit, omega0 t."""
         w = 2.0 * np.pi * self.modulation_freq
+        if w == 0.0:
+            return self.omega0 * t
         return self.omega0 * (t + 0.5 * (1.0 - np.cos(w * t)) / w)

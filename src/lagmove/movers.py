@@ -17,19 +17,19 @@ gradient, and ``MoverKind.reads_gradient`` says which, so a run samples a
 gradient only for m3 and m4. The movers read both levels from a
 ``PointCloud``, checked when they were installed, and integrate over
 ``dt``; backward differences span the levels' spacing ``cloud.dt``.
-Velocities are (N, 2), gradients (N, 2, 2); a level m3 or m4 reads without
-a gradient raises ``StructuralError``.
+Velocities are (N, 2), gradients one (2, 2) matrix or (N, 2, 2); a level
+m3 or m4 reads without a gradient raises ``StructuralError``.
 
 ``exp_series_apply`` is the one series entry point, for m3, m4 and the
 checks alike; it checks its inputs on every call. Its two routes share one
 routine, ``_series``, which runs the iterated products on Python floats or
-on NumPy columns with the same bits. A gradient of more than one row with
-row stride 0 (an analytic run's broadcast Jacobian G) takes v @ S^T, S^T
-built by ``_series`` from G's four floats on the two unit rows and
-memoized, so a steady field's levels build it once per (dt, terms,
-offset). Any other gradient, a numeric run's or a single row, goes row by
-row: each matrix-vector product is four elementwise multiply-adds over
-the point axis. Either result is laid out like ``v``.
+on NumPy columns with the same bits. A (2, 2) gradient G (an analytic
+run's Jacobian) takes v @ S^T, S^T built by ``_series`` from G's four
+floats on the two unit rows and memoized, so a steady field's levels build
+it once per (dt, terms, offset). An (N, 2, 2) gradient, a numeric run's or
+a single row, goes row by row: each matrix-vector product is four
+elementwise multiply-adds over the point axis. Either result is laid out
+like ``v``.
 """
 from __future__ import annotations
 
@@ -156,12 +156,11 @@ def exp_series_apply(
     laid out like ``v``, by iterated matrix-vector products (``_series``);
     grad powers are never formed explicitly. offset=0 is the streamline
     displacement series, offset=1 the inner sums of the change-of-streamlines
-    scheme. A gradient of more than one row with row stride 0 (a broadcast
-    Jacobian, as an analytic run installs) is one matrix G, so the series
-    is v @ S^T, S^T built from G's four floats and memoized. Any other
-    gradient, one row included, runs the products on its component columns,
-    row by row. A coefficient dt^p / p! too large for a float raises
-    NumericInputError. ``offset`` is an integer as ``check_count`` takes
+    scheme. A (2, 2) ``grad`` is one matrix G for every row, as an analytic
+    run installs, so the series is v @ S^T, S^T built from G's four floats
+    and memoized. An (N, 2, 2) ``grad``, one row included, runs the
+    products on its component columns, row by row. A coefficient
+    dt^p / p! too large for a float raises NumericInputError. ``offset`` is an integer as ``check_count`` takes
     one (a NumPy integer is accepted, a bool or a float is not) of value 0 or 1.
     """
     check_count(terms, "terms", 1)
@@ -170,9 +169,11 @@ def exp_series_apply(
     dt = float(check_positive(dt, "dt"))   # a NumPy scalar's power overflows to inf, a float's raises
     coeffs = _series_coefficients(dt, terms, offset)
     v = check_points(np.asarray(v, dtype=float), "v", finite=False)
-    grad = check_points(np.asarray(grad, dtype=float), "grad", len(v), gradient=True, finite=False)
-    if grad.strides[0] == 0 and len(grad) > 1:
-        return np.matmul(v, _series_matrix_t(grad[0].tobytes(), coeffs), out=np.empty_like(v))
+    grad = np.asarray(grad, dtype=float)
+    if grad.ndim == 2:
+        check_points(grad, "grad", 2, finite=False)
+        return np.matmul(v, _series_matrix_t(grad.tobytes(), coeffs), out=np.empty_like(v))
+    check_points(grad, "grad", len(v), gradient=True, finite=False)
     g = ((grad[:, 0, 0], grad[:, 0, 1]), (grad[:, 1, 0], grad[:, 1, 1]))
     out = np.empty_like(v)
     out[:, 0], out[:, 1] = _series(g, (v[:, 0], v[:, 1]), coeffs)

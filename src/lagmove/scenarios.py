@@ -2,8 +2,8 @@
 
 ``SCENARIOS`` maps each of the paper's test cases to its ``Scenario`` at
 the paper's size ``PAPER_N`` and its default t_end; ``make_scenario`` sets
-the size and, when given, the t_end. Point counts and output strides are
-checked by ``errors.check_count``.
+the size and, when given, the t_end. A point count and an output stride
+are checked by ``errors.check_count``.
 
 A step does, in order: displace points with the configured scheme, sample
 the field at the new positions and time, and install the level as the next
@@ -11,14 +11,13 @@ cloud. Movement always happens before the velocity update. A level holds a
 gradient, analytic or WLSQ-reconstructed from neighbor velocities, only
 when the scheme reads one (``MoverKind.reads_gradient``: m3 and m4); an m1
 or m2 run builds no gradient, neighbor index or fit. Every field
-is affine, so an analytic gradient is the view ``field.gradient`` builds:
-its (2, 2) Jacobian broadcast to a read-only (N, 2, 2) view whose rows
-share memory. A numeric gradient is a full (N, 2, 2) array. m3 and m4
-take either to ``movers.exp_series_apply``, the one series entry point: it
-applies a view's series as one (2, 2) matrix, which differs from the
-per-row series only at rounding level, and a full array's row by row. The
-``PointCloud`` is the one state of a step: the movers read it, the other
-kernels take arrays.
+is affine, so an analytic gradient is what ``field.gradient`` returns: its
+one (2, 2) Jacobian. A numeric gradient is a full (N, 2, 2) array. m3 and
+m4 take either to ``movers.exp_series_apply``, the one series entry
+point: it applies a (2, 2) gradient's series as one matrix, which differs
+from the per-row series only at rounding level, and a full array's row by
+row. The ``PointCloud`` is the one state of a step: the movers read it,
+the other kernels take arrays.
 
 A run is a stream of clouds. ``clouds`` is the one loop over a step plan
 (``plan_steps``): it yields the initial cloud, then the cloud after each
@@ -161,8 +160,8 @@ def make_scenario(name: str, n: int = PAPER_N, t_end: float | None = None) -> Sc
 def _field_state(scenario: Scenario, config: RunConfig, positions, t):
     """Velocity and current-level gradient at given positions and time. The
     gradient is None for a scheme that reads none. An analytic gradient is
-    ``field.gradient``'s read-only (N, 2, 2) view of the one (2, 2)
-    Jacobian; a numeric one is the full WLSQ array."""
+    ``field.gradient``'s one (2, 2) Jacobian; a numeric one is the full
+    (N, 2, 2) WLSQ array."""
     v = scenario.field.evaluate(positions, t)
     if not config.mover.reads_gradient:
         g = None
@@ -270,7 +269,9 @@ def clouds(scenario: Scenario, config: RunConfig):
 def run(scenario: Scenario, config: RunConfig) -> list[diagnostics.DiagnosticsRecord]:
     """Full run to t_end; when dt does not divide t_end the last step is
     shortened to land exactly on it. Records every ``output_stride``th full
-    step of the stream, and its final cloud at t_end."""
+    step of the stream, and its final cloud, stamped t_end whatever the
+    stride: its clock, step * dt, may differ from t_end in the last bit.
+    A plan of no steps has one record, the start, stamped t_end too."""
     n_full = plan_steps(scenario.t_end, config.dt)[0]
     stream = clouds(scenario, config)
     cloud = next(stream)
@@ -280,7 +281,8 @@ def run(scenario: Scenario, config: RunConfig) -> list[diagnostics.DiagnosticsRe
         if cloud.step % config.output_stride == 0 and cloud.step <= n_full:
             records.append(_record(cloud, scenario, first))
     if records[-1].step != cloud.step:
-        records.append(replace(_record(cloud, scenario, first), time=scenario.t_end))
+        records.append(_record(cloud, scenario, first))
+    records[-1] = replace(records[-1], time=scenario.t_end)
     return records
 
 

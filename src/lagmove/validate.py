@@ -56,7 +56,7 @@ def fd_gradient_error(field) -> float:
     for _ in range(100):
         x = rng.uniform(-1.0, 1.0, size=2)
         t = rng.uniform(0.0, 10.0)
-        worst = np.maximum(worst, np.abs(field.gradient(x[None], t)[0] - fd_jacobian(field, x, t)).max())
+        worst = np.maximum(worst, np.abs(field.gradient(x[None], t) - fd_jacobian(field, x, t)).max())
     return float(worst)
 
 

@@ -322,6 +322,18 @@ def test_stride_is_a_run_flag(tmp_path, capsys):
     assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["0", "5", "10"]
 
 
+def test_final_csv_row_is_the_same_at_any_stride(tmp_path):
+    # only the rows before it depend on the stride: the last one reads t_end
+    argv = ["run", "--scenario", "rotation", "--mover", "m1", "--dt", "0.1", "--t-end", "0.3"]
+    last = set()
+    for stride in ("1", "2", "3", "10"):
+        out = tmp_path / f"stride-{stride}.csv"
+        assert cli.main(argv + ["--stride", stride, "--out", str(out)]) == 0
+        last.add(out.read_text().splitlines()[-1])
+    (row,) = last
+    assert row.split(",")[:2] == ["3", "0.29999999999999999"]
+
+
 @pytest.mark.parametrize("dts", ["0", "nan", "-0.1", "inf"])
 def test_sweep_rejects_bad_time_steps(dts, capsys):
     # the cell's stride is planned from dt, so dt must be checked first

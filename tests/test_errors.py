@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagmove.cloud import make_cloud
+from lagmove.cloud import advance_history, make_cloud
 from lagmove.diagnostics import measure
 from lagmove.errors import (
     DimensionError,
@@ -44,6 +44,42 @@ THREE_COLUMN_CALLS = {
 def test_three_columns_rejected(call):
     with pytest.raises(DimensionError):
         THREE_COLUMN_CALLS[call]()
+
+
+NAN_JACOBIAN = np.array([[0.0, np.nan], [1.0, 0.0]])
+START = make_cloud(np.zeros((3, 2)), np.ones((3, 2)), np.eye(2), dt=0.1)
+GRADIENT_SITES = {
+    "make_cloud": lambda g: make_cloud(START.positions, START.velocities, g, dt=0.1),
+    "advance_history": lambda g: advance_history(START, START.positions, START.velocities, g),
+    "exp_series_apply": lambda g: exp_series_apply(g, START.velocities, 0.1, 5),
+}
+
+
+GRADIENT_FAULTS = {
+    "nan-2x2": (NAN_JACOBIAN, NumericInputError),
+    "3x3": (np.eye(3), DimensionError),
+    "vector": (np.ones(2), StructuralError),
+}
+
+
+@pytest.mark.parametrize(
+    "site, fault",
+    [(s, f) for s in GRADIENT_SITES for f in GRADIENT_FAULTS if (s, f) != ("exp_series_apply", "nan-2x2")],
+)
+def test_malformed_one_matrix_gradient_rejected(site, fault):
+    # a two-axis gradient is one (2, 2) matrix, checked as two finite rows;
+    # the series leaves the finite scan to the cloud (the test below)
+    grad, error = GRADIENT_FAULTS[fault]
+    with pytest.raises(error, match="grad"):
+        GRADIENT_SITES[site](grad)
+
+
+def test_series_carries_a_nan_one_matrix_gradient_to_every_row():
+    # the cloud that installed a gradient scanned it, so the series does not:
+    # a NaN gives NaN rows on the (2, 2) route, as on the per-row one
+    got = GRADIENT_SITES["exp_series_apply"](NAN_JACOBIAN)
+    assert np.isnan(got).all()
+    assert np.array_equal(got, GRADIENT_SITES["exp_series_apply"](np.tile(NAN_JACOBIAN, (3, 1, 1))), equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -250,22 +286,6 @@ def test_broadcast_non_finite_row_raises(bad, gradient):
 def test_broadcast_row_whose_squares_overflow_passes(gradient):
     row = np.full((2, 2) if gradient else (2,), 1e200)
     assert not check_points_silently(np.broadcast_to(row, (1000,) + row.shape), gradient)
-
-
-def test_broadcast_finite_check_reads_one_row(monkeypatch):
-    # np.vdot would copy the whole view; the first row stands for every row
-    scanned = []
-    vdot = np.vdot
-
-    def spy(a, b):
-        scanned.append(np.size(a))
-        return vdot(a, b)
-
-    monkeypatch.setattr(np, "vdot", spy)
-    n = 20_000
-    check_points(np.broadcast_to(np.eye(2), (n, 2, 2)), "g", n, gradient=True)
-    check_points(np.ones((n, 2, 2)), "g", n, gradient=True)
-    assert scanned == [4, 4 * n]
 
 
 def test_finite_check_of_a_column_major_array_copies_nothing():

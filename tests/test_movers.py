@@ -149,26 +149,26 @@ def test_series_numpy_integer_offset_accepted():
     )
 
 
-def full(grad):
-    """``grad`` as a full array of its own, which the series takes row by row."""
-    return np.ascontiguousarray(grad)
+def per_row(jac, n):
+    """The (2, 2) ``jac`` at each of ``n`` rows: a full (n, 2, 2) array, which
+    the series takes row by row."""
+    return np.tile(jac, (n, 1, 1))
 
 
 @pytest.mark.parametrize("n", [1, 222, 20_000])
 @pytest.mark.parametrize("offset", [0, 1])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_series_same_bits_on_broadcast_gradient(name, offset, n):
-    # an analytic run hands the series one Jacobian broadcast to (N, 2, 2):
-    # past one row, its series is v @ S^T with the per-row route's S^T, bit
-    # for bit; one row stays on the per-row route
+    # an analytic run hands the series one (2, 2) Jacobian for every row: at
+    # any N, one row included, its series is v @ S^T with the per-row
+    # route's S^T, bit for bit
     jac = SCENARIOS[name].field.jacobian(0.7)
-    s_t = exp_series_apply(full(np.broadcast_to(jac, (2, 2, 2))), np.eye(2), 0.05, 5, offset)
+    s_t = exp_series_apply(per_row(jac, 2), np.eye(2), 0.05, 5, offset)
     v = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
     # a run's velocities are column-major: the series keeps that layout
     for vl in (v, np.asfortranarray(v)):
-        got = exp_series_apply(np.broadcast_to(jac, (n, 2, 2)), vl, 0.05, 5, offset)
-        want = (exp_series_apply(full(np.broadcast_to(jac, (n, 2, 2))), vl, 0.05, 5, offset) if n == 1
-                else np.matmul(vl, s_t, out=np.empty_like(vl)))
+        got = exp_series_apply(jac, vl, 0.05, 5, offset)
+        want = np.matmul(vl, s_t, out=np.empty_like(vl))
         assert got.flags.c_contiguous == vl.flags.c_contiguous and got.flags.f_contiguous == vl.flags.f_contiguous
         assert np.array_equal(got, want)
 
@@ -177,19 +177,19 @@ def test_series_same_bits_on_broadcast_gradient(name, offset, n):
 @pytest.mark.parametrize("offset", [0, 1])
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_uniform_series_matches_the_kernel(name, offset, n):
-    # the field's own stride-0 view takes the one-matrix route: S^T with the
-    # per-row route's bits on the two unit rows, then v @ S^T, within
+    # the field's own (2, 2) gradient takes the one-matrix route: S^T with
+    # the per-row route's bits on the two unit rows, then v @ S^T, within
     # rounding of the per-row route
-    grad, unit = (FIELDS[name].gradient(np.zeros((rows, 2)), 0.7) for rows in (n, 2))
-    assert grad.strides[0] == unit.strides[0] == 0
+    grad = FIELDS[name].gradient(np.zeros((n, 2)), 0.7)
+    assert grad.shape == (2, 2)
     # on the two unit rows, the matmul by S^T gives S^T, the per-row route's exactly
-    s_t = exp_series_apply(full(unit), np.eye(2), 0.05, 5, offset)
-    assert np.array_equal(exp_series_apply(unit, np.eye(2), 0.05, 5, offset), s_t)
+    s_t = exp_series_apply(per_row(grad, 2), np.eye(2), 0.05, 5, offset)
+    assert np.array_equal(exp_series_apply(grad, np.eye(2), 0.05, 5, offset), s_t)
     norm_s = np.abs(s_t).sum(axis=0).max()    # max row sum of S
     v = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2))
     for layout in (np.ascontiguousarray, np.asfortranarray):
         vl = layout(v)
-        got, want = exp_series_apply(grad, vl, 0.05, 5, offset), exp_series_apply(full(grad), vl, 0.05, 5, offset)
+        got, want = exp_series_apply(grad, vl, 0.05, 5, offset), exp_series_apply(per_row(grad, n), vl, 0.05, 5, offset)
         assert got.flags.c_contiguous == vl.flags.c_contiguous
         assert got.flags.f_contiguous == vl.flags.f_contiguous
         bound = 4 * np.finfo(float).eps * norm_s * np.abs(v).max(axis=1)
@@ -213,22 +213,21 @@ def test_shared_series_matrix_is_the_kernels_bit_for_bit(terms, offset):
     # numbers the ones an analytic run applies
     jacobians = [(f.jacobian(t), dt) for f in FIELDS.values() for t in (0.0, 0.7) for dt in (0.2, 0.05, 0.025)]
     for a, dt in [*criterion_8_draws(), *jacobians]:
-        want = exp_series_apply(full(np.broadcast_to(a, (2, 2, 2))), np.eye(2), dt, terms, offset)
+        want = exp_series_apply(per_row(a, 2), np.eye(2), dt, terms, offset)
         assert np.array_equal(_series_matrix_t(a.tobytes(), _series_coefficients(dt, terms, offset)), want)
+        assert np.array_equal(exp_series_apply(a, np.eye(2), dt, terms, offset), want)
 
 
 @pytest.mark.parametrize("offset", [0, 1])
 @pytest.mark.parametrize("terms", [5, 20])
 def test_one_row_series_takes_the_per_row_route(terms, offset):
-    # a[None] has row stride 0, yet criterion 8's one-point draws keep the
-    # per-row arithmetic: the same bits as a row of its own
+    # a[None] is (1, 2, 2), so criterion 8's one-point draws keep the per-row
+    # arithmetic by shape alone: the bits of _series on the row's floats
     rng = np.random.default_rng(8)
     for a, dt in criterion_8_draws():
         v = rng.normal(size=2)
-        assert np.array_equal(
-            exp_series_apply(a[None], v[None], dt, terms, offset),
-            exp_series_apply(a.reshape(1, 2, 2), v.reshape(1, 2), dt, terms, offset),
-        )
+        want = movers._series(a.tolist(), v.tolist(), _series_coefficients(dt, terms, offset))
+        assert np.array_equal(exp_series_apply(a[None], v[None], dt, terms, offset), [want])
 
 
 @pytest.fixture
@@ -294,7 +293,7 @@ def test_unsteady_run_builds_one_series_matrix_per_level(monkeypatch, builds, mo
     original = movers.exp_series_apply
 
     def keyed(grad, v, dt, terms, offset):
-        calls.append((grad[0].tobytes(), _series_coefficients(dt, terms, offset)))
+        calls.append((grad.tobytes(), _series_coefficients(dt, terms, offset)))
         return original(grad, v, dt, terms, offset)
 
     monkeypatch.setattr(movers, "exp_series_apply", keyed)
@@ -305,15 +304,16 @@ def test_unsteady_run_builds_one_series_matrix_per_level(monkeypatch, builds, mo
 
 @pytest.mark.parametrize(
     "rows, dt, terms, offset, error",
-    [(3, 0.1, 5, 0, StructuralError), (2, 0.1, 0, 0, StructuralError), (2, 0.1, 5, 2, StructuralError),
+    [(0, 0.1, 5, 0, StructuralError), (2, 0.1, 0, 0, StructuralError), (2, 0.1, 5, 2, StructuralError),
      (2, 0.0, 5, 0, StructuralError), (2, 0.05, 200, 0, NumericInputError)],
     ids=["rows", "terms", "offset", "dt", "overflow"],
 )
 def test_shared_gradient_series_keeps_the_kernel_checks(rows, dt, terms, offset, error):
-    # the stride-0 route raises what the per-row route would
-    grad, v = np.broadcast_to(np.eye(2), (rows, 2, 2)), np.ones((2, 2))
+    # the (2, 2) route raises what the per-row route would, on a v of
+    # ``rows`` rows
+    grad, v = np.eye(2), np.ones((rows, 2))
     raised = []
-    for g in (grad, full(grad)):
+    for g in (grad, per_row(grad, rows)):
         with pytest.raises(error) as info:
             exp_series_apply(g, v, dt, terms, offset)
         raised.append((type(info.value), str(info.value)))
@@ -470,24 +470,6 @@ def test_m3_single_step_rotation_accuracy():
     disp = move_m3(cloud_of([0.0, 1.0], grad_n=a), 0.1, terms=5)[0]
     exact = np.array([np.cos(0.1) - 1.0, np.sin(0.1)])
     assert np.abs(disp - exact).max() <= 2e-7
-
-
-def test_reduction_m3_to_m1_without_gradient():
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        dt = rng.uniform(0.01, 0.3)
-        cloud = cloud_of(rng.normal(size=(5, 2)), dt=dt)
-        m3, m1 = move_m3(cloud, dt), move_m1(cloud, dt)
-        assert np.abs(m3 - m1).max() <= 1e-15 * max(1.0, np.abs(m1).max())
-
-
-def test_reduction_m4_to_m2_without_gradients():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        dt = rng.uniform(0.01, 0.3)
-        cloud = cloud_of(rng.normal(size=(5, 2)), v_prev=rng.normal(size=(5, 2)), dt=dt)
-        m4, m2 = move_m4(cloud, dt)[0], move_m2(cloud, dt)
-        assert np.abs(m4 - m2).max() <= 1e-15 * max(1.0, np.abs(m2).max())
 
 
 def test_m4_steady_zero_gradient_matches_m3():

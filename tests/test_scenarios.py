@@ -186,6 +186,22 @@ def test_run_final_time_and_payload():
     assert records[0].step == 0
 
 
+@pytest.mark.parametrize("stride", [1, 2, 3, 10])
+def test_final_record_is_stamped_t_end_at_any_stride(stride):
+    # 3 * 0.1 is 0.30000000000000004, so the last cloud's clock is off t_end
+    # in the last bit; its record reads t_end whether or not it is on the stride
+    sc = make_scenario("rotation", t_end=0.3)
+    records = run(sc, config("m1", dt=0.1, output_stride=stride))
+    assert records[-1].step == 3 and records[-1].time == 0.3
+    assert [r.step for r in records] == sorted({0, 3, *range(0, 4, stride)})
+
+
+def test_a_plan_of_no_steps_records_the_start_stamped_t_end():
+    # a t_end within rounding of 0 plans no step: the one record is the start
+    records = run(make_scenario("rotation", t_end=1e-13), config("m1", dt=0.1))
+    assert [(r.step, r.time, r.eps_dia) for r in records] == [(0, 1e-13, 0.0)]
+
+
 def test_short_final_step_lands_on_t_end():
     sc = make_scenario("rotation", t_end=1.03)  # 20 full steps of 0.05 + 0.03
     records = run(sc, config("m2", dt=0.05))
@@ -248,7 +264,8 @@ def test_overflowing_positions_raise_numeric_input_error_without_a_warning():
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 @pytest.mark.parametrize("mode", ["analytic", "numeric"])
 def test_run_installs_broadcast_analytic_and_full_numeric_gradients(monkeypatch, mode, name):
-    # an analytic gradient is one (2, 2) matrix shared by every row
+    # an analytic gradient is one (2, 2) matrix for every row, a numeric one
+    # the fit's full (N, 2, 2) array
     installed = []
     advance = scenarios.advance_history
 
@@ -264,9 +281,9 @@ def test_run_installs_broadcast_analytic_and_full_numeric_gradients(monkeypatch,
     assert len(installed) == 6
     for g in installed:
         if mode == "analytic":
-            assert g.strides[0] == 0 and not g.flags.writeable
+            assert g.shape == (2, 2)
         else:
-            assert g.flags.c_contiguous and g.flags.writeable
+            assert g.shape == (PAPER_N, 2, 2) and g.flags.c_contiguous and g.flags.writeable
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -452,7 +469,7 @@ def test_m4_series_calls_per_run(monkeypatch, t_end, calls):
 
 @pytest.mark.parametrize("mode, kernel_calls", [("analytic", 0), ("numeric", 6 + 8)])
 def test_series_rows_per_gradient_mode(monkeypatch, mode, kernel_calls):
-    # an analytic run's shared (stride-0) gradient gets its series matrix from
+    # an analytic run's (2, 2) gradient gets its series matrix from
     # the Jacobian's four floats and never runs the per-row route; a numeric
     # run's full gradient goes row by row, over NumPy columns
     seen, kernel = series_calls(monkeypatch), []
