@@ -130,12 +130,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    entries = args.dts.split(",")
+    for i, entry in enumerate(entries, 1):
+        if not entry.strip():
+            raise UsageError(f"--dts: entry {i} of {args.dts!r} is empty")
     try:
-        dts = [float(s) for s in args.dts.split(",") if s.strip()]
+        dts = [float(s) for s in entries]
     except ValueError as exc:
         raise UsageError(f"--dts: {exc}") from exc
-    if not dts:
-        raise UsageError("--dts must list at least one time step")
     scenario = scenarios.make_scenario(args.scenario, args.n_points, args.t_end)
     base = _config(args, "m1", dts[0])
     cells = scenarios.convergence_sweep(scenario, base, dts)

@@ -149,8 +149,10 @@ class ModulatedRotation(_AffineField):
 
     def angle(self, t: float) -> float:
         """Accumulated rotation angle: integral of omega(s) ds over [0, t].
-        Without modulation that is its w -> 0 limit, omega0 t."""
+        Without modulation that is its w -> 0 limit, omega0 t. The modulation
+        term 0.5 (1 - cos(w t)) / w is formed as sin(w t / 2)^2 / w, which
+        is equal and does not cancel when w t is small."""
         w = 2.0 * np.pi * self.modulation_freq
         if w == 0.0:
             return self.omega0 * t
-        return self.omega0 * (t + 0.5 * (1.0 - np.cos(w * t)) / w)
+        return self.omega0 * (t + np.sin(0.5 * w * t) ** 2 / w)

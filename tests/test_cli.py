@@ -57,6 +57,18 @@ def test_parse_sweep_dts():
     assert cli.main(["sweep", "--dts", "abc"]) == 1
 
 
+@pytest.mark.parametrize(
+    "dts, entry",
+    [("0.2,,0.1", 2), ("0.2, ,0.1,", 2), ("0.2,0.1,", 3), (",0.1", 1), ("", 1), (" ", 1)],
+)
+def test_sweep_rejects_an_empty_time_step_entry(dts, entry, tmp_path, capsys):
+    # a blank entry is a typo, not a request for fewer cells
+    out = tmp_path / "bad.csv"
+    assert cli.main(["sweep", "--dts", dts, "--t-end", "0.3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --dts: entry {entry} of {dts!r} is empty\n"
+    assert not out.exists()
+
+
 def test_write_csv_roundtrip(tmp_path):
     path = tmp_path / "out.csv"
     cli.write_csv([record()], str(path))

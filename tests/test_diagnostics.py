@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -33,13 +35,18 @@ def test_centroid_mean():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 222, 5000, 20001])
-def test_centroid_is_the_row_order_mean_bit_for_bit(n):
-    # the reference: NumPy's axis-0 mean of a C-ordered array sums each column in row order
+def test_centroid_is_the_exactly_rounded_mean_within_a_bound(n):
+    # the reference: math.fsum rounds each column's sum once. A row-order
+    # sum errs by at most (n - 1) u sum|x| with u = eps / 2, a pairwise sum
+    # by less; with the two divisions' and fsum's roundings the mean is
+    # within (n + 2) u max|x| <= n eps max|x| of the reference
     rng = np.random.default_rng(n)
     pos = rng.normal(size=(n, 2)) * 300.0 + [7.0, -3.0]
-    assert np.array_equal(centroid(pos), pos.mean(axis=0))
-    # a run's column-major positions: cumsum still sums each column in row order
-    assert np.array_equal(centroid(np.asfortranarray(pos)), pos.mean(axis=0))
+    exact = np.array([math.fsum(pos[:, k]) / n for k in range(2)])
+    bound = n * np.finfo(float).eps * np.abs(pos).max()
+    # a C-ordered array and a run's column-major positions
+    for layout in (pos, np.asfortranarray(pos)):
+        assert np.all(np.abs(centroid(layout) - exact) <= bound)
 
 
 def test_centroid_translates_exactly():
@@ -207,6 +214,19 @@ def with_duplicates(pos):
     return np.concatenate([pos, pos[::3], pos[:10]])
 
 
+def thin_triangle_between_directions(rng):
+    """2 000 rows inside a flat triangle, its apex 1e-3 above the middle of
+    its base, turned by pi / 32: the apex is the extreme only within about
+    1e-3 of pi / 2 + pi / 32, which no filter direction (k pi / 16) is, so
+    every filter corner is an end of the base and both passes keep every row."""
+    u, v = rng.uniform(size=(2, 2000))
+    fold = u + v > 1.0
+    u[fold], v[fold] = 1.0 - u[fold], 1.0 - v[fold]
+    a, b, apex = np.array([-1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1e-3])
+    tri = np.concatenate([[a, b, apex], a + np.outer(u, b - a) + np.outer(v, apex - a)])
+    return rotate(tri, np.pi / 32)
+
+
 def octagon_edge_points(rng):
     """A regular octagon, whose corners are the extremes, with 2 000 rows
     inside, its edge midpoints, where the inscribed circle touches, and the
@@ -232,16 +252,34 @@ def octagon_edge_points(rng):
         lambda: with_duplicates(np.random.default_rng(11).normal(size=(40, 2))),
         # the middle of the bottom edge is on the hull but is no vertex
         lambda: points(SQUARE + [[0.5, 0.0], [0.3, 0.6], [0.7, 0.2]]),
+        lambda: thin_triangle_between_directions(np.random.default_rng(12)),
     ],
     ids=[
         "gaussian-5000", "gaussian-far", "sliver-1e5", "sliver-1e5-rotated",
         "lattice-60x60", "duplicates", "octagon-edge-points",
         "square-and-centre", "duplicates-40", "collinear-on-edge",
+        "thin-triangle-between-directions",
     ],
 )
 def test_filtered_measure_equals_unfiltered(make):
     pos = make()
     assert measure(pos) == unfiltered_measure(pos)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.float32])
+def test_filtered_measure_of_other_dtypes(dtype):
+    # Qhull and pdist take rows as float64; the filter does too, so an
+    # unsigned x - y cannot wrap
+    pos = lattice(30).astype(dtype)
+    assert len(pos) > diagnostics.UNFILTERED_ROWS
+    assert measure(pos) == unfiltered_measure(pos.astype(float))
+
+
+def test_filter_corners_on_one_line_keep_every_row():
+    # both passes find collinear corners, so each returns its input
+    pos = thin_triangle_between_directions(np.random.default_rng(12))
+    assert diagnostics._hull_candidates(pos) is pos
+    assert len(ConvexHull(pos).vertices) == 3
 
 
 def test_filtered_measure_equals_unfiltered_on_rotated_disc(rotated_disc):
@@ -276,9 +314,11 @@ def test_filtered_measure_is_the_hull_of_every_row(rows):
         with pytest.raises(DegenerateGeometryError):
             measure(pos)
         return
-    kept = {tuple(row) for row in diagnostics._hull_candidates(pos)}
-    assert {tuple(row) for row in pos[hull.vertices]} <= kept
-    diameter, volume = measure(pos)
+    kept = diagnostics._hull_candidates(pos)
+    assert {tuple(row) for row in pos[hull.vertices]} <= {tuple(row) for row in kept}
+    # measure hands Qhull a cloud this small whole, so the filtered hull is
+    # taken here
+    diameter, volume = unfiltered_measure(kept)
     expected_diameter, expected_volume = unfiltered_measure(pos)
     assert diameter == expected_diameter
     rounding = np.finfo(float).eps * len(pos) * np.abs(pos).max() ** 2
@@ -340,4 +380,12 @@ def hull_rows(monkeypatch):
 
 def test_large_disc_goes_to_qhull_filtered(hull_rows, rotated_disc):
     measure(rotated_disc)
-    assert len(hull_rows) == 1 and hull_rows[0] < 0.2 * len(rotated_disc)
+    assert len(hull_rows) == 1 and hull_rows[0] < 0.05 * len(rotated_disc)
+
+
+def test_clouds_up_to_the_row_limit_go_to_qhull_whole(hull_rows):
+    limit = diagnostics.UNFILTERED_ROWS
+    for n in (limit, limit + 1):
+        pos = rotate(sample_disc((0.0, 0.0), 1.0, n), 0.3)
+        assert measure(pos) == unfiltered_measure(pos)
+    assert hull_rows[0] == limit and hull_rows[1] < 0.5 * limit

@@ -133,6 +133,21 @@ def test_unmodulated_rotation_angle_is_the_limit():
         assert np.all(np.abs(near - 1.3 * t) <= 1.3 * np.pi * freq * t**2)
 
 
+
+@pytest.mark.parametrize("freq", [1e-9, 1e-6, 1e-3, 0.5])
+def test_modulated_rotation_angle_is_within_an_ulp_of_a_40_digit_reference(freq):
+    # 0.5 (1 - cos(w t)) / w cancels for small w t: at freq 1e-9 it is off
+    # by up to some 1e-9; sin(w t / 2)^2 / w keeps the angle to rounding
+    mpmath = pytest.importorskip("mpmath")
+    f = ModulatedRotation(omega0=1.3, modulation_freq=freq)
+    for t in (0.3, 1.7, 2.5, 4.2, 10.0):
+        angle = f.angle(t)
+        with mpmath.workdps(40):
+            w = 2 * mpmath.pi * mpmath.mpf(freq)
+            exact = mpmath.mpf(1.3) * (t + (1 - mpmath.cos(w * t)) / (2 * w))
+            error = float(abs(mpmath.mpf(angle) - exact))
+        assert error <= np.spacing(angle)
+
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
