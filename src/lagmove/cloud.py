@@ -8,9 +8,10 @@ like its input, so the layout holds through every step without a
 conversion. Operations return new clouds; arrays of the input are never
 mutated. The cloud is the one state of a step: ``scenarios`` drives it
 and the movers read their inputs from it. A step builds its next cloud
-once, with ``advance_history``: the moved positions and the velocity level
-sampled there. Each array is checked once, where it enters
-(``make_cloud``, ``advance_history``), so its readers trust it.
+once, with ``advance_history``: the moved positions, formed in the
+mover's own displacement array, and the velocity level sampled there.
+Each array is checked once, where it enters (``make_cloud``,
+``advance_history``), so its readers trust it.
 Only m3 and m4 read a velocity gradient, so a level holds one only in
 their runs; an m1 or m2 run's clouds hold None at both gradient levels.
 A gradient level is either one (2, 2) matrix, the same at every point, or

@@ -11,11 +11,16 @@ of more than ``UNFILTERED_ROWS`` rows first passes two extreme-point
 filters: an octagon of the extremes of x, y, x + y and x - y, then, over
 its survivors, a 32-gon of the extremes in directions k pi / 16. Each
 drops the rows strictly inside a circle inscribed in its polygon, which
-cannot be hull vertices. A smaller cloud reaches Qhull whole, since the
-filters would cost more than they save.
+cannot be hull vertices. A pass takes its survivors column by column into
+a C-ordered (M, 2) array: the rows, their order and the layout of a
+boolean row selection, at a fraction of its cost on a run's column-major
+positions. A smaller cloud reaches Qhull whole, since the filters would
+cost more than they save. The diameter is the root of the largest squared
+distance between hull vertices, which is the largest distance bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +88,11 @@ def _drop_inside(positions: np.ndarray, ring: np.ndarray, a: np.ndarray, b: np.n
     to the corners' mean c than the smallest signed distance r from c to an
     edge line, less a margin against rounding, lies strictly inside the
     corners' convex hull, and so strictly inside the rows' hull: it is no
-    hull vertex. When r is not positive (collinear or coincident corners)
-    ``positions`` is returned whole. ``a`` and ``b`` are scratch buffers of
-    one float per row; the squared distances to c are formed in them.
+    hull vertex. The survivors are a new C-ordered (M, 2) array, taken one
+    column at a time at the mask's rows. When r is not positive (collinear
+    or coincident corners) ``positions`` is returned whole. ``a`` and ``b``
+    are scratch buffers of one float per row; the squared distances to c
+    are formed in them.
     """
     corners = ring[:-1]
     c = corners.sum(axis=0) / len(corners)
@@ -105,7 +112,11 @@ def _drop_inside(positions: np.ndarray, ring: np.ndarray, a: np.ndarray, b: np.n
     a *= a
     b *= b
     a += b
-    return positions[a >= r * r]
+    rows = np.flatnonzero(a >= r * r)
+    kept = np.empty((len(rows), 2))
+    positions[:, 0].take(rows, out=kept[:, 0])
+    positions[:, 1].take(rows, out=kept[:, 1])
+    return kept
 
 
 def _hull_candidates(positions: np.ndarray) -> np.ndarray:
@@ -141,7 +152,9 @@ def measure(positions: np.ndarray) -> tuple[float, float]:
     """Diameter and convex-hull area, from one hull.
 
     The farthest pair of a point set is a pair of hull vertices, so the
-    diameter is the maximum pairwise distance over the vertices alone.
+    diameter is the maximum pairwise distance over the vertices alone,
+    taken as the root of the largest squared distance: sqrt is monotone
+    and correctly rounded, so it equals the largest distance bit for bit.
     Qhull sees every row of a cloud of at most ``UNFILTERED_ROWS`` rows and
     only the rows ``_hull_candidates`` keeps of a larger one: the hull, and
     so the diameter, are those of all rows. The area is Qhull's sum over the
@@ -162,7 +175,7 @@ def measure(positions: np.ndarray) -> tuple[float, float]:
         # Qhull's first line names the fault; the rest dumps its options and input
         fault = str(exc).partition("\n")[0]
         raise DegenerateGeometryError(f"degenerate point set: {fault}") from exc
-    return float(pdist(positions[hull.vertices]).max()), float(hull.volume)
+    return math.sqrt(pdist(positions[hull.vertices], "sqeuclidean").max()), float(hull.volume)
 
 
 def eps_volume(v0: float, v_end: float) -> float:

@@ -12,6 +12,11 @@ time step by integrating a characteristic-velocity ODE:
       the new level's series of the step before, so m4 returns that series
       with the displacement and reads it back from ``cloud.series_prev``.
 
+Each scheme returns its displacement as a fresh (N, 2) array, laid out
+like the velocities, that no cloud holds: the step owns it and writes the
+moved positions into it. m4 forms (s_now - s_old) * (1 / cloud.dt), a
+multiply rather than a divide, for both gradient shapes.
+
 m1 and m2 read velocities alone; m3 and m4 also read the velocity
 gradient, and ``MoverKind.reads_gradient`` says which, so a run samples a
 gradient only for m3 and m4. The movers read both levels from a
@@ -198,9 +203,11 @@ def move_m3(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS) -> np.ndar
 def move_m4(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS):
     """Displacement, and the current level's series for the next step.
 
-    The old level's series is read from ``cloud.series_prev`` when it was
-    computed with this ``dt`` and term count, and computed otherwise: only
-    then is the previous level's gradient read.
+    The displacement is v dt + (s_now - s_old) * (1 / cloud.dt), in a new
+    array apart from the returned series. The old level's series is read
+    from ``cloud.series_prev`` when it was computed with this ``dt`` and
+    term count, and computed otherwise: only then is the previous level's
+    gradient read.
     """
     _require_history(cloud, "m4")
     grad = _level_gradient(cloud.grad_velocities, "m4", "current")
@@ -212,7 +219,7 @@ def move_m4(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS):
         grad_prev = _level_gradient(cloud.grad_velocities_prev, "m4", "previous")
         s_old = exp_series_apply(grad_prev, cloud.velocities_prev, dt, terms, 1)
     disp = s_now - s_old       # a new array: s_now is the next step's s_old
-    disp /= cloud.dt
+    disp *= 1.0 / cloud.dt
     disp += cloud.velocities * dt
     return disp, LevelSeries(s_now, dt, terms)
 
@@ -220,7 +227,8 @@ def move_m4(cloud: PointCloud, dt: float, terms: int = DEFAULT_TERMS):
 def displacement(mover: MoverKind, cloud: PointCloud, dt: float | None = None):
     """Dispatch to the scheme named by ``mover``, or to its bootstrap while
     ``cloud`` has no history: the displacement, and for m4 the current
-    level's series (None for the other schemes). A given ``dt`` is a
+    level's series (None for the other schemes). The displacement is a
+    fresh array that the caller owns and may overwrite. A given ``dt`` is a
     shortened step; the backward differences keep the spacing ``cloud.dt``."""
     dt = cloud.dt if dt is None else check_positive(dt, "dt")
     mover = mover if cloud.has_history else mover.bootstrap

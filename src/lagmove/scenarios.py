@@ -7,12 +7,15 @@ are checked by ``errors.check_count``.
 
 A step does, in order: displace points with the configured scheme, sample
 the field at the new positions and time, and install the level as the next
-cloud. Movement always happens before the velocity update. A level holds a
-gradient, analytic or WLSQ-reconstructed from neighbor velocities, only
-when the scheme reads one (``MoverKind.reads_gradient``: m3 and m4); an m1
-or m2 run builds no gradient, neighbor index or fit. Every field
-is affine, so an analytic gradient is what ``field.gradient`` returns: its
-one (2, 2) Jacobian. A numeric gradient is a full (N, 2, 2) array. m3 and
+cloud. The mover's displacement is a fresh array that the step owns, so the
+moved positions are written into it and no other (N, 2) array is made for
+them; the input cloud's arrays are never written. Movement always happens
+before the velocity update. A level holds a gradient, analytic or
+WLSQ-reconstructed from neighbor velocities, only when the scheme reads
+one (``MoverKind.reads_gradient``: m3 and m4); an m1 or m2 run builds no
+gradient, neighbor index or fit. Every field is affine, so an analytic
+gradient is what ``field.gradient`` returns: its one (2, 2) Jacobian.
+A numeric gradient is a full (N, 2, 2) array. m3 and
 m4 take either to ``movers.exp_series_apply``, the one series entry
 point: it applies a (2, 2) gradient's series as one matrix, which differs
 from the per-row series only at rounding level, and a full array's row by
@@ -188,7 +191,8 @@ def step(
 ) -> PointCloud:
     """Advance one step; ``movers.displacement`` picks the first step's scheme.
 
-    The points move once, the field is sampled at the moved positions, and
+    The points move once, the sum formed in the displacement array the
+    mover returned, the field is sampled at the moved positions, and
     ``advance_history`` builds the next cloud from both. A given ``dt`` is a
     shortened step that lands exactly on ``time + dt``: backward differences
     inside the movers keep the regular spacing, only the integration
@@ -199,7 +203,7 @@ def step(
     """
     disp, series = movers.displacement(config.mover, cloud, dt)
     with np.errstate(over="ignore"):   # advance_history reports overflowed positions
-        positions = cloud.positions + disp
+        positions = np.add(disp, cloud.positions, out=disp)
     if dt is None:
         t_new = cloud.initial_time + (cloud.step + 1) * cloud.dt
     else:

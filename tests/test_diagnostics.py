@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial.distance import pdist
 
 from lagmove import diagnostics
 from lagmove.diagnostics import centroid, eps_volume, measure
@@ -282,6 +284,23 @@ def test_filter_corners_on_one_line_keep_every_row():
     assert len(ConvexHull(pos).vertices) == 3
 
 
+def test_filter_margin_keeps_vertices_ulps_outside_the_inscribed_circle():
+    # the regular octagon's corners are the first pass's, and its edge
+    # midpoints, pushed out by one ulp, are exactly outside their edges and
+    # so hull vertices; the inscribed circle touches the edges there, so
+    # without HULL_FILTER_MARGIN rounding drops three of the eight
+    angles = np.pi / 4 * np.arange(8)
+    corners = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    pushed = (corners + np.roll(corners, -1, axis=0)) / 2.0 * (1.0 + 2.0**-52)
+    inside = np.random.default_rng(13).uniform(-0.5, 0.5, size=(40, 2))
+    pos = np.concatenate([corners, inside, pushed])
+    for a, b, p in zip(corners, np.roll(corners, -1, axis=0), pushed):
+        (ax, ay), (bx, by), (px, py) = (map(Fraction, row) for row in (a, b, p))
+        assert (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0
+    kept = {tuple(row) for row in diagnostics._hull_candidates(pos)}
+    assert {tuple(row) for row in pushed} <= kept
+
+
 def test_filtered_measure_equals_unfiltered_on_rotated_disc(rotated_disc):
     assert measure(rotated_disc) == unfiltered_measure(rotated_disc)
 
@@ -362,6 +381,37 @@ def test_coordinates_up_to_the_limit_are_measured():
     m = diagnostics.MAX_COORDINATE
     square = points([[m, m], [-m, m], [-m, -m], [m, -m], [0.0, 0.0]])
     assert measure(square) == (2.0**511 * np.sqrt(2.0), 2.0**1022)
+
+
+def vertex_diameter(pos):
+    """The largest distance between two of Qhull's vertices of every row, by pdist."""
+    return pdist(pos[ConvexHull(pos).vertices]).max()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: 1e-155 * np.random.default_rng(14).normal(size=(2000, 2)),
+        lambda: diagnostics.MAX_COORDINATE * sample_disc((0.0, 0.0), 1.0, 5000),
+    ],
+    ids=["squares-underflow", "near-the-limit"],
+)
+def test_diameter_is_the_root_of_the_largest_squared_distance_at_the_extremes(make):
+    # every squared distance of the 1e-155 cloud is subnormal, and the
+    # largest of the other is 2**1022: sqrt is monotone and correctly
+    # rounded, so the root of the largest square is pdist's largest distance
+    pos = make()
+    assert measure(pos)[0] == vertex_diameter(pos)
+
+
+def test_diameter_is_the_root_of_the_largest_squared_distance(rotated_disc):
+    assert measure(rotated_disc)[0] == vertex_diameter(rotated_disc)
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        n = int(rng.integers(3, 2000))
+        pos = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0, size=2) + rng.normal(size=2)
+        assert measure(pos)[0] == vertex_diameter(pos)
 
 
 @pytest.fixture

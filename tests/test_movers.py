@@ -397,7 +397,7 @@ def test_m4_cached_series_matches_recomputation():
 
 
 def test_m4_combination_and_series_bits():
-    # v dt + (s_now - s_old) / cloud.dt, formed in place without touching the series
+    # v dt + (s_now - s_old) * (1 / cloud.dt), formed in place without touching the series
     rng = np.random.default_rng(7)
     v_prev, g_prev = rng.normal(size=(50, 2)), rng.normal(size=(50, 2, 2))
     v, g = rng.normal(size=(50, 2)), rng.normal(size=(50, 2, 2))
@@ -406,7 +406,7 @@ def test_m4_combination_and_series_bits():
     s_now = exp_series_apply(g, v, 0.05, 5, offset=1)
     s_old = exp_series_apply(g_prev, v_prev, 0.05, 5, offset=1)
     assert np.array_equal(series.values, s_now)
-    assert np.array_equal(disp, v * 0.05 + (s_now - s_old) / 0.07)
+    assert np.array_equal(disp, v * 0.05 + (s_now - s_old) * (1.0 / 0.07))
     # a full gradient's series is the kernel's, row by row, in m3 too
     assert np.array_equal(move_m3(cloud, 0.05), exp_series_apply(g, v, 0.05, 5, offset=0))
 

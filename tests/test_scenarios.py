@@ -523,6 +523,35 @@ def test_short_step_series_is_read_only_at_its_dt(monkeypatch):
     assert np.array_equal(full.positions, recomputed(short).positions)
 
 
+def cloud_arrays(cloud) -> list:
+    """Every array a cloud holds: positions, both velocity and gradient levels, the m4 series."""
+    levels = [cloud.positions, cloud.velocities, cloud.velocities_prev,
+              cloud.grad_velocities, cloud.grad_velocities_prev,
+              None if cloud.series_prev is None else cloud.series_prev.values]
+    return [a for a in levels if a is not None]
+
+
+@pytest.mark.parametrize("mode", GRADIENT_MODES)
+@pytest.mark.parametrize("mover", movers.MOVER_NAMES)
+def test_step_writes_the_move_into_its_own_displacement(mover, mode):
+    # the moved positions are formed in the array the mover returned, so no
+    # array of the input cloud changes, at the bootstrap, a regular and a
+    # shortened step; they are column-major and equal positions + displacement
+    sc = make_scenario("modulated-rotation")
+    cfg = config(mover, dt=0.05, gradient_mode=mode)
+    start = initial_cloud(sc, cfg)
+    regular = step(step(start, sc, cfg), sc, cfg)
+    assert (regular.series_prev is not None) == (mover == "m4")
+    for cloud, dt in [(start, None), (regular, None), (regular, 0.02)]:
+        before = [a.copy() for a in cloud_arrays(cloud)]
+        disp = movers.displacement(cfg.mover, cloud, dt)[0]
+        out = step(cloud, sc, cfg, dt)
+        for a, b in zip(cloud_arrays(cloud), before):
+            assert np.array_equal(a, b) and not np.shares_memory(out.positions, a)
+        assert out.positions.flags.f_contiguous
+        assert np.array_equal(out.positions, cloud.positions + disp)
+
+
 def test_one_cloud_per_step(monkeypatch):
     # the initial cloud, one per step and the clock pin of the shortened last step
     constructed = []
