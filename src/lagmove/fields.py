@@ -10,12 +10,18 @@ by shape only: the stepping code scans what fields return. Every call
 returns fresh memory, and ``evaluate`` lays it out like ``x`` (a run's
 positions are column-major); both rotations share one matmul-free kernel.
 Exact gradients separate integrator error from reconstruction error.
+
+Every field also has ``flow(x0, t)``, its exact flow map from t = 0: where
+the points at ``x0`` at t = 0 are at time t. It is formed as x0 plus a
+displacement that is exactly zero at t = 0, so ``flow(x0, 0)`` is ``x0``
+bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import DimensionError, check_center, check_points, check_real
 
@@ -43,6 +49,15 @@ def _rotate(x: np.ndarray, center: tuple[float, float], rate: float) -> np.ndarr
     return np.multiply(out, rate, out=out)
 
 
+def _turn(x0: np.ndarray, center: tuple[float, float], angle: float) -> np.ndarray:
+    """The (N, 2) ``x0`` turned by ``angle`` about ``center``, as x0 + (x0 - c)
+    (R - I)^T. cos - 1 is formed as -2 sin(angle / 2)^2, which does not
+    cancel at small angles."""
+    check_points(x0, "x0", finite=False)
+    s, c1 = np.sin(angle), -2.0 * np.sin(0.5 * angle) ** 2
+    return x0 + (x0 - np.asarray(center, dtype=float)) @ np.array([[c1, -s], [s, c1]]).T
+
+
 @dataclass(frozen=True)
 class RigidRotation(_AffineField):
     """v(x) = omega * (-(y - cy), x - cx): rigid rotation about a center."""
@@ -61,6 +76,10 @@ class RigidRotation(_AffineField):
     def jacobian(self, t: float) -> np.ndarray:
         return self.omega * _ROT90
 
+    def flow(self, x0: np.ndarray, t: float) -> np.ndarray:
+        """``x0`` turned by omega t about the center."""
+        return _turn(x0, self.center, self.omega * t)
+
 
 @dataclass(frozen=True)
 class Lissajous(_AffineField):
@@ -75,6 +94,11 @@ class Lissajous(_AffineField):
 
     def jacobian(self, t: float) -> np.ndarray:
         return np.zeros((2, 2))
+
+    def flow(self, x0: np.ndarray, t: float) -> np.ndarray:
+        """``x0`` translated along ``exact_lissajous_center`` from 0 to t."""
+        check_points(x0, "x0", finite=False)
+        return x0 + (exact_lissajous_center(t) - exact_lissajous_center(0.0))
 
 
 def exact_lissajous_center(t: float) -> np.ndarray:
@@ -113,6 +137,16 @@ class LinearField(_AffineField):
         out = np.matmul(x, self.jacobian(t).T, out=np.empty_like(x, dtype=float))
         out += self.b
         return out
+
+    def flow(self, x0: np.ndarray, t: float) -> np.ndarray:
+        """x0 mapped by exp(t [[A, b], [0, 0]]), the augmented exponential of
+        x' = A x + b: x0 + x0 (Phi - I)^T + phi."""
+        check_points(x0, "x0", finite=False)
+        aug = np.zeros((3, 3))
+        aug[:2, :2] = self.jacobian(t) * t
+        aug[:2, 2] = np.asarray(self.b, dtype=float) * t
+        m = expm(aug)
+        return x0 + x0 @ (m[:2, :2] - np.eye(2)).T + m[:2, 2]
 
 
 @dataclass(frozen=True)
@@ -156,3 +190,7 @@ class ModulatedRotation(_AffineField):
         if w == 0.0:
             return self.omega0 * t
         return self.omega0 * (t + np.sin(0.5 * w * t) ** 2 / w)
+
+    def flow(self, x0: np.ndarray, t: float) -> np.ndarray:
+        """``x0`` turned by ``angle(t)`` about the center."""
+        return _turn(x0, self.center, self.angle(t))

@@ -13,9 +13,24 @@ w dx dx^T and w dx dv^T to both of its ends (both are even in the pair's
 sign), so the 3 unique normal-matrix entries and 4 right-hand-side entries
 are computed once per pair and summed onto both rows. The 2 x 2 systems
 are solved in closed form: condition lambda_max / |lambda_min| =
-lambda_max^2 / |det|, and the adjugate inverse. ``wlsq_gradient`` fits a
-single point with LAPACK and is kept as its oracle; where ``all_gradients``
-zeroes a failing stencil's row, it raises.
+lambda_max^2 / |det|, and the adjugate inverse, each entry divided by det
+into its place in the output only where the row passes.
+
+A row passes when its condition is within ``CONDITION_LIMIT`` and its
+trace a + c is at least ``TRACE_FLOOR`` = 2 sqrt(smallest normal float),
+below which lambda_max^2 is no longer a normal float. That needs no
+neighbour count. A stencil of fewer than 2 neighbours has a normal matrix
+of rank 1 at most: a = b = c = 0 (cond NaN) or a c = b^2 in exact
+arithmetic, so its det is 0 or a residue of a few ulps of a c, and its
+cond, at least (a + c)^2 / (4 |det|) >= a c / |det|, is past 1e15
+wherever lambda_max^2 is normal. Below the floor a c and b^2 are
+subnormal and their difference can round to a grid step, which gives a
+one-neighbour stencil a passing cond; the floor catches those, and with
+them any stencil that small, whose cond means nothing. The count is read only to word the warning of
+a failing row, and a row that fails only the floor is reported with
+condition inf. ``wlsq_gradient`` fits a single point with LAPACK and is
+kept as its oracle; where ``all_gradients`` zeroes a failing stencil's
+row, it raises.
 
 Both take finite (N, 2) position and velocity arrays; the cloud is the
 driver's state.
@@ -23,6 +38,8 @@ driver's state.
 from __future__ import annotations
 
 import logging
+import math
+import sys
 
 import numpy as np
 
@@ -40,6 +57,8 @@ log = logging.getLogger(__name__)
 
 WEIGHT_EXPONENT = 6.0
 CONDITION_LIMIT = 1e12
+# smallest normal-matrix trace at which lambda_max^2 is a normal float
+TRACE_FLOOR = 2.0 * math.sqrt(sys.float_info.min)
 
 
 def _stencil_error(i: int, count: int, cond: float = np.nan) -> LagmoveError:
@@ -116,12 +135,17 @@ def all_gradients(
     terms = (wx * dx, wx * dy, wy * dy, wx * du, wy * du, wx * dv, wy * dv)
     a, b, c, pu, qu, pv, qv = (np.bincount(i, t, n) + np.bincount(j, t, n) for t in terms)
 
-    counts = index.neighbor_count()
     det, cond = _det_and_condition(a, b, c)
-    ok = (counts >= 2) & (cond <= CONDITION_LIMIT)
-    with np.errstate(divide="ignore", invalid="ignore"):   # failing rows are zeroed
-        adj = np.stack([c * pu - b * qu, a * qu - b * pu, c * pv - b * qv, a * qv - b * pv], axis=1)
-        out = np.where(ok[:, None], adj / det[:, None], 0.0).reshape(n, 2, 2)
-    for r in np.flatnonzero(~ok):
-        log.warning("gradient fallback to zero: %s", _stencil_error(int(r), int(counts[r]), float(cond[r])))
+    trace = a + c
+    ok = (cond <= CONDITION_LIMIT) & (trace >= TRACE_FLOOR)
+    out = np.zeros((n, 2, 2))
+    np.divide(c * pu - b * qu, det, out=out[:, 0, 0], where=ok)
+    np.divide(a * qu - b * pu, det, out=out[:, 0, 1], where=ok)
+    np.divide(c * pv - b * qv, det, out=out[:, 1, 0], where=ok)
+    np.divide(a * qv - b * pv, det, out=out[:, 1, 1], where=ok)
+    if not ok.all():
+        counts = index.neighbor_count()
+        cond[trace < TRACE_FLOOR] = np.inf    # below the floor cond means nothing
+        for r in np.flatnonzero(~ok):
+            log.warning("gradient fallback to zero: %s", _stencil_error(int(r), int(counts[r]), float(cond[r])))
     return out

@@ -4,7 +4,9 @@
 radius (points exactly at distance r are included) once, as a row (i, j)
 with i < j. The WLSQ fit sums each pair onto both of its ends, so that list
 is the index; ``lists`` expands it per row (ascending, self excluded) for
-the oracle and the checks. The search takes an (N, 2) position array.
+the oracle and the checks. The search takes an (N, 2) position array; a
+cloud so large that the tree's squared distances overflow is a
+``NumericInputError``.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import check_points, check_positive
+from .errors import NumericInputError, check_points, check_positive
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,15 @@ def build_index(positions: np.ndarray, radius: float) -> NeighborIndex:
     """Pair index of every two rows of ``positions`` within ``radius``."""
     check_positive(radius, "search radius")
     n = len(check_points(positions, "positions"))
-    return NeighborIndex(n=n, pairs=cKDTree(positions).query_pairs(radius, output_type="ndarray"))
+    tree = cKDTree(positions)
+    try:
+        pairs = tree.query_pairs(radius, output_type="ndarray")
+    except ValueError as exc:   # on checked input, only an overflowed distance raises it
+        raise NumericInputError(
+            f"a coordinate of magnitude {np.abs(positions).max():.6g}: "
+            "the neighbor search's squared distances overflow a float"
+        ) from exc
+    return NeighborIndex(n=n, pairs=pairs)
 
 
 def brute_force_neighbors(positions: np.ndarray, radius: float) -> list[np.ndarray]:

@@ -193,22 +193,25 @@ def step(
 
     The points move once, the sum formed in the displacement array the
     mover returned, the field is sampled at the moved positions, and
-    ``advance_history`` builds the next cloud from both. A given ``dt`` is a
-    shortened step that lands exactly on ``time + dt``: backward differences
+    ``advance_history`` builds the next cloud from both. The move and the
+    sampling run under one errstate that ignores overflow and invalid
+    results, so an overflow in any scheme or gradient mode is reported
+    once, as a ``NumericInputError``, by a finite check. A given ``dt`` is
+    a shortened step that lands exactly on ``time + dt``: backward differences
     inside the movers keep the regular spacing, only the integration
     interval shrinks, and the returned cloud keeps the original dt and step
     numbering, with its clock pinned to the landing time. The m4 series the
     mover returns is kept for the next step; its (dt, terms) tag keeps a
     shortened step's series from being read by a step of another dt.
     """
-    disp, series = movers.displacement(config.mover, cloud, dt)
-    with np.errstate(over="ignore"):   # advance_history reports overflowed positions
+    with np.errstate(over="ignore", invalid="ignore"):
+        disp, series = movers.displacement(config.mover, cloud, dt)
         positions = np.add(disp, cloud.positions, out=disp)
-    if dt is None:
-        t_new = cloud.initial_time + (cloud.step + 1) * cloud.dt
-    else:
-        t_new = cloud.time + dt
-    v_new, g_new = _field_state(scenario, config, positions, t_new)
+        if dt is None:
+            t_new = cloud.initial_time + (cloud.step + 1) * cloud.dt
+        else:
+            t_new = cloud.time + dt
+        v_new, g_new = _field_state(scenario, config, positions, t_new)
     out = advance_history(cloud, positions, v_new, g_new, series)
     if dt is None:
         return out

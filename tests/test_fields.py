@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from lagmove.errors import DimensionError, StructuralError
 from lagmove.fields import (
@@ -11,7 +12,9 @@ from lagmove.fields import (
     RigidRotation,
     exact_lissajous_center,
 )
-from lagmove.validate import FD_GRADIENT_BOUND, FIELDS, fd_gradient_error
+from lagmove.movers import MoverKind
+from lagmove.scenarios import RunConfig, make_scenario, plan_steps
+from lagmove.validate import FD_GRADIENT_BOUND, FIELDS, fd_gradient_error, position_history
 
 
 def lissajous_velocity(t):
@@ -205,3 +208,44 @@ def test_jacobian_is_fresh_and_every_row_of_the_gradient(field):
         first += 1.0
         assert np.array_equal(field.jacobian(t), expected)
         assert np.array_equal(field.gradient(x, t), expected)
+
+
+FLOW_TIMES = (0.3, 1.1, 2.6)
+
+
+def integrated_flow(field, x0, times):
+    """Positions at ``times`` of the points at ``x0`` at t = 0, from DOP853
+    over all 2N coordinates (rtol 1e-12, atol 1e-14)."""
+    sol = solve_ivp(
+        lambda t, y: field.evaluate(y.reshape(-1, 2), t).ravel(), (0.0, times[-1]), x0.ravel(),
+        method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14,
+    )
+    assert sol.success
+    return sol.y.T.reshape(len(times), -1, 2)
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+def test_flow_matches_an_integrated_trajectory(field):
+    x0 = np.random.default_rng(12).uniform(-1.0, 1.0, size=(5, 2))
+    for t, want in zip(FLOW_TIMES, integrated_flow(field, x0, FLOW_TIMES)):
+        got = field.flow(x0, t)
+        assert got.shape == x0.shape
+        assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max()), t
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+def test_flow_at_zero_is_the_start(field):
+    x0 = np.random.default_rng(13).uniform(-1.0, 1.0, size=(5, 2))
+    assert np.array_equal(field.flow(x0, 0.0), x0)
+
+
+def test_m3_with_20_terms_follows_the_linear_flow_at_every_step():
+    # on an autonomous affine field, m3 is exponential Euler, exact up to its
+    # series tail, which K = 20 leaves below rounding
+    sc = make_scenario("linear-field")
+    cfg = RunConfig(mover=MoverKind("m3", 20), dt=0.05)
+    hist = position_history(sc, cfg)
+    n_full, remainder = plan_steps(sc.t_end, cfg.dt)
+    assert remainder == 0.0 and len(hist) == n_full + 1
+    for n, x in enumerate(hist):
+        assert np.abs(x - sc.field.flow(hist[0], n * cfg.dt)).max() <= 1e-12, n

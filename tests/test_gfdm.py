@@ -10,8 +10,16 @@ from lagmove.errors import (
     StencilDeficiencyError,
     StructuralError,
 )
-from lagmove.gfdm import WEIGHT_EXPONENT, _det_and_condition, all_gradients, wlsq_gradient
-from lagmove.neighbors import build_index
+from lagmove.gfdm import (
+    CONDITION_LIMIT,
+    TRACE_FLOOR,
+    WEIGHT_EXPONENT,
+    _det_and_condition,
+    all_gradients,
+    wlsq_gradient,
+)
+from lagmove.neighbors import NeighborIndex, build_index
+from lagmove.scenarios import sample_disc
 
 
 def linear_field(positions, A, b):
@@ -237,3 +245,93 @@ def test_non_finite_inputs_rejected(which, value):
         all_gradients(pos, vel, index, 0.5)
     with pytest.raises(NumericInputError):
         wlsq_gradient(pos, vel, index, 0.5, row)
+
+
+
+# the linear-field scenario's A
+A_LINEAR = [[0.2, 1.0], [0.3, -0.2]]
+
+
+def fallen_rows(caplog):
+    """Row -> message of every fallback warning."""
+    messages = [r.getMessage() for r in fallback_warnings(caplog)]
+    return {int(re.search(r"point (\d+)", m).group(1)): m for m in messages}
+
+
+def assert_pair_falls_back(pos, h, caplog):
+    """Both rows of the two-point ``pos`` get a zero gradient and one
+    "has 1 neighbors" warning each."""
+    pos, vel = linear_field(pos, A_LINEAR, [0.0, 0.0])
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="lagmove.gfdm"):
+        grads = all_gradients(pos, vel, build_index(pos, h), h)
+    assert np.array_equal(grads, np.zeros((2, 2, 2)))
+    messages = fallen_rows(caplog)
+    assert sorted(messages) == [0, 1]
+    assert all("has 1 neighbors" in m for m in messages.values())
+
+
+def test_one_neighbor_pairs_fall_back_at_every_orientation_and_scale(caplog):
+    # the fit tells a one-neighbour stencil by its condition alone: rank 1
+    # leaves a det of a few ulps of a c at most, so its cond is past 1e15
+    rng = np.random.default_rng(41)
+    for theta, scale in zip(rng.uniform(0.0, 2.0 * np.pi, 1000), 10.0 ** rng.uniform(-70.0, 70.0, 1000)):
+        start = scale * rng.uniform(-1.0, 1.0, 2)
+        assert_pair_falls_back([start, start + scale * np.array([np.cos(theta), np.sin(theta)])], 2.0 * scale, caplog)
+
+
+def sub_floor_one_neighbor_steps():
+    """(dx, dy, h) of one-neighbour stencils whose normal matrix, summed as
+    ``all_gradients`` sums it, has a trace under ``TRACE_FLOOR`` and yet a
+    condition within ``CONDITION_LIMIT``: a c and b^2 are subnormal there,
+    so their difference can round to a grid step, not to 0. A seeded search
+    over pairs about 3e-78 apart, where about 1 in 10^5 is such a stencil."""
+    rng = np.random.default_rng(77)
+    found = []
+    for _ in range(4):
+        theta = rng.uniform(0.0, 2.0 * np.pi, 250_000)
+        d = rng.uniform(2.6e-78, 3.2e-78, 250_000)
+        dx, dy, h = d * np.cos(theta), d * np.sin(theta), 2.0 * d
+        w = np.exp(-WEIGHT_EXPONENT * (dx * dx + dy * dy) / (h * h))
+        wx, wy = w * dx, w * dy
+        a, b, c = wx * dx, wx * dy, wy * dy
+        _, cond = _det_and_condition(a, b, c)
+        hit = (cond <= CONDITION_LIMIT) & (a + c < TRACE_FLOOR)
+        found += zip(dx[hit], dy[hit], h[hit])
+    return found
+
+
+def test_sub_floor_one_neighbor_stencils_whose_condition_passes_fall_back(caplog):
+    steps = sub_floor_one_neighbor_steps()
+    assert len(steps) >= 5
+    for dx, dy, h in steps:
+        assert_pair_falls_back([[0.0, 0.0], [dx, dy]], h, caplog)
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_cloud_below_the_trace_floor_falls_back_with_condition_inf(n, caplog):
+    # every row has 2 or more neighbours, and its trace is under TRACE_FLOOR,
+    # where lambda_max^2 and det are subnormal and cond says nothing
+    if n == 3:
+        pos, h = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8660254037844386]]) * 1e-77, 1.5e-77
+    else:
+        pos, h = sample_disc((0.0, 0.0), 1e-77, n), 1e-77
+    pos, vel = linear_field(pos, A_LINEAR, [0.0, 0.0])
+    index = build_index(pos, h)
+    assert index.neighbor_count().min() >= 2
+    with caplog.at_level(logging.WARNING, logger="lagmove.gfdm"):
+        grads = all_gradients(pos, vel, index, h)
+    assert np.array_equal(grads, np.zeros((n, 2, 2)))
+    messages = fallen_rows(caplog)
+    assert sorted(messages) == list(range(n))
+    assert all("condition inf exceeds" in m for m in messages.values())
+
+
+def test_neighbor_count_is_read_only_when_a_row_falls_back(monkeypatch, caplog):
+    rng = np.random.default_rng(9)
+    pos, vel = linear_field(random_positions(rng), rng.normal(size=(2, 2)), rng.normal(size=2))
+    index = build_index(pos, 0.5)
+    monkeypatch.setattr(NeighborIndex, "neighbor_count", lambda self: pytest.fail("neighbor_count read"))
+    with caplog.at_level(logging.WARNING, logger="lagmove.gfdm"):
+        all_gradients(pos, vel, index, 0.5)
+    assert not fallback_warnings(caplog)

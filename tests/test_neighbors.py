@@ -3,6 +3,7 @@ import pytest
 
 from lagmove.errors import NumericInputError, StructuralError
 from lagmove.neighbors import brute_force_neighbors, build_index
+from lagmove.scenarios import sample_disc
 
 
 def test_two_points_within_radius():
@@ -51,6 +52,13 @@ def test_non_finite_positions_rejected(value):
     pos[1, 1] = value
     with pytest.raises(NumericInputError):
         build_index(pos, 1.0)
+
+
+def test_overflowing_distances_raise_numeric_input_error():
+    # finite coordinates whose squared distances overflow inside the tree
+    pos = sample_disc((0.0, 0.0), 1.0, 222) * 1e160
+    with pytest.raises(NumericInputError, match=r"magnitude 1e\+160"):
+        build_index(pos, 0.3e160)
 
 
 @pytest.mark.parametrize("trial", range(10))

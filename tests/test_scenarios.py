@@ -261,6 +261,19 @@ def test_overflowing_positions_raise_numeric_input_error_without_a_warning():
             run(sc, config("m1", dt=1.0, output_stride=100_000))
 
 
+@pytest.mark.parametrize("mode", GRADIENT_MODES)
+@pytest.mark.parametrize("name", movers.MOVER_NAMES)
+def test_every_overflow_in_a_step_raises_numeric_input_error_without_a_warning(name, mode):
+    # at dt 100 each scheme multiplies the linear field's positions by 59 or
+    # more per step; whichever product overflows first, in the move or in
+    # the sampling, the step reports it through a finite check
+    sc = make_scenario("linear-field", t_end=100_000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericInputError):
+            run(sc, config(name, dt=100.0, gradient_mode=mode, output_stride=100_000))
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 @pytest.mark.parametrize("mode", ["analytic", "numeric"])
 def test_run_installs_broadcast_analytic_and_full_numeric_gradients(monkeypatch, mode, name):
