@@ -11,7 +11,9 @@ and the movers read their inputs from it. A step builds its next cloud
 once, with ``advance_history``: the moved positions, formed in the
 mover's own displacement array, and the velocity level sampled there.
 Each array is checked once, where it enters (``make_cloud``,
-``advance_history``), so its readers trust it.
+``advance_history``), so its readers trust it. ``advance_history``
+tests the moved positions and the new velocities for finite entries in
+one pass over both, and scans each apart only when that pass fails.
 Only m3 and m4 read a velocity gradient, so a level holds one only in
 their runs; an m1 or m2 run's clouds hold None at both gradient levels.
 A gradient level is either one (2, 2) matrix, the same at every point, or
@@ -32,6 +34,7 @@ not compute it again.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,11 +119,19 @@ def advance_history(
     level without one, as in ``make_cloud``. ``series`` is the m4 series of
     the level being shifted out (the mover's current-level series); it
     becomes ``series_prev``, and None drops it. Increments the step
-    counter; time follows from it.
+    counter; time follows from it. The positions and velocities are checked
+    for shape, then for finite entries by one sum of products x_i v_i,
+    which is finite only if every factor is. When it is not, because an
+    entry is not or because finite products overflow, ``check_points``
+    scans the positions and then the velocities, and names the first at
+    fault, as two separate checks would.
     """
     n = len(cloud.positions)
-    new_positions = check_points(np.asarray(new_positions, dtype=float), "new_positions", n)
-    new_velocities = check_points(np.asarray(new_velocities, dtype=float), "new_velocities", n)
+    new_positions = check_points(np.asarray(new_positions, dtype=float), "new_positions", n, finite=False)
+    new_velocities = check_points(np.asarray(new_velocities, dtype=float), "new_velocities", n, finite=False)
+    if not math.isfinite(np.vdot(new_positions.ravel("K"), new_velocities.ravel("K"))):
+        check_points(new_positions, "new_positions", n)
+        check_points(new_velocities, "new_velocities", n)
     new_gradients = _check_gradient(new_gradients, "new_gradients", n)
     if series is not None:
         check_points(series.values, "series", n, finite=False)

@@ -9,7 +9,11 @@ integral number with a lower bound; none of them is a bool. A center is
 one finite point. ``check_points``, ``check_center``, ``check_real``,
 ``check_positive`` and ``check_count`` are the only places that decide
 this; every malformed input they meet raises a ``StructuralError`` or one
-of its subclasses.
+of its subclasses. A caller may first test several arrays at once by one
+finite sum (``cloud.advance_history`` pairs positions with velocities);
+only when that sum is not finite does ``check_points`` decide, array by
+array. An arithmetic overflow that a finite input leads to, in a step or
+in a stencil fit, is a ``NumericInputError`` too.
 """
 import math
 import numbers

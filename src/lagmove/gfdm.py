@@ -32,6 +32,11 @@ condition inf. ``wlsq_gradient`` fits a single point with LAPACK and is
 kept as its oracle; where ``all_gradients`` zeroes a failing stencil's
 row, it raises.
 
+A cloud spaced past about 1e77 has stencil normal matrices whose products
+overflow: det is not finite, no row can be fitted, and ``all_gradients``
+raises ``NumericInputError`` naming the largest stencil trace rather than
+zeroing every row. It is tested only when some row fails.
+
 Both take finite (N, 2) position and velocity arrays; the cloud is the
 driver's state.
 """
@@ -46,6 +51,7 @@ import numpy as np
 from .errors import (
     IllConditionedStencilError,
     LagmoveError,
+    NumericInputError,
     StencilDeficiencyError,
     StructuralError,
     check_points,
@@ -81,10 +87,12 @@ def _check_inputs(positions, velocities, index: NeighborIndex, smoothing_length:
 
 def _det_and_condition(a, b, c):
     """Determinant and condition lambda_max / |lambda_min| of symmetric positive
-    semi-definite [[a, b], [b, c]]: inf if singular, nan if zero."""
-    det = a * c - b * b
-    lmax = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    semi-definite [[a, b], [b, c]]: inf if singular, nan if zero. Entries
+    whose products overflow give a non-finite det, and ``all_gradients``
+    refuses those; no warning is raised here."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        det = a * c - b * b
+        lmax = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
         return det, lmax * lmax / np.abs(det)
 
 
@@ -138,14 +146,19 @@ def all_gradients(
     det, cond = _det_and_condition(a, b, c)
     trace = a + c
     ok = (cond <= CONDITION_LIMIT) & (trace >= TRACE_FLOOR)
+    if not ok.all():
+        if not np.isfinite(det[~ok]).all():
+            raise NumericInputError(
+                f"stencil normal matrices overflow a float (largest stencil trace {trace.max():.3e}): "
+                "the cloud's spacing is too large to fit gradients"
+            )
+        counts = index.neighbor_count()
+        cond[trace < TRACE_FLOOR] = np.inf    # below the floor cond means nothing
+        for r in np.flatnonzero(~ok):
+            log.warning("gradient fallback to zero: %s", _stencil_error(int(r), int(counts[r]), float(cond[r])))
     out = np.zeros((n, 2, 2))
     np.divide(c * pu - b * qu, det, out=out[:, 0, 0], where=ok)
     np.divide(a * qu - b * pu, det, out=out[:, 0, 1], where=ok)
     np.divide(c * pv - b * qv, det, out=out[:, 1, 0], where=ok)
     np.divide(a * qv - b * pv, det, out=out[:, 1, 1], where=ok)
-    if not ok.all():
-        counts = index.neighbor_count()
-        cond[trace < TRACE_FLOOR] = np.inf    # below the floor cond means nothing
-        for r in np.flatnonzero(~ok):
-            log.warning("gradient fallback to zero: %s", _stencil_error(int(r), int(counts[r]), float(cond[r])))
     return out

@@ -26,9 +26,11 @@ Velocities are (N, 2), gradients one (2, 2) matrix or (N, 2, 2); a level
 m3 or m4 reads without a gradient raises ``StructuralError``.
 
 ``exp_series_apply`` is the one series entry point, for m3, m4 and the
-checks alike; it checks its inputs on every call. Its two routes share one
-routine, ``_series``, which runs the iterated products on Python floats or
-on NumPy columns with the same bits. A (2, 2) gradient G (an analytic
+checks alike. It checks its arrays on every call, and its scalars (terms,
+offset, dt) once per set, inside the memoized ``_series_coefficients``;
+the memo keeps no exception, so a malformed set raises on every call.
+Its two routes share one routine, ``_series``, which runs the iterated
+products on Python floats or on NumPy columns with the same bits. A (2, 2) gradient G (an analytic
 run's Jacobian) takes v @ S^T, S^T built by ``_series`` from G's four
 floats on the two unit rows and memoized, so a steady field's levels build
 it once per (dt, terms, offset). An (N, 2, 2) gradient, a numeric run's or
@@ -107,9 +109,15 @@ def _level_gradient(grad: np.ndarray | None, mover: str, level: str) -> np.ndarr
 
 @functools.lru_cache(maxsize=SERIES_COEFFICIENTS_CACHED, typed=True)
 def _series_coefficients(dt: float, terms: int, offset: int) -> tuple[float, ...]:
-    """dt^p / p! for p = offset + 1 .. offset + terms. Typed, so an argument
-    of another type that compares equal (1.0 for 1) fails or passes as it
-    would uncached; an overflow raises anew on every call."""
+    """dt^p / p! for p = offset + 1 .. offset + terms, after the checks of
+    ``exp_series_apply``'s scalars, so a set of them is checked once. The
+    cache keeps no exception: a malformed argument, or an overflow, raises
+    anew on every call. Typed, so an argument of another type that compares
+    equal (1.0 for 1) fails or passes as it would uncached."""
+    check_count(terms, "terms", 1)
+    if check_count(offset, "offset", 0) > 1:
+        raise StructuralError(f"offset must be 0 or 1, got {offset}")
+    dt = float(check_positive(dt, "dt"))   # a NumPy scalar's power overflows to inf, a float's raises
     try:
         return tuple(dt**p / math.factorial(p) for p in range(offset + 1, offset + terms + 1))
     except OverflowError:
@@ -168,11 +176,10 @@ def exp_series_apply(
     dt^p / p! too large for a float raises NumericInputError. ``offset`` is an integer as ``check_count`` takes
     one (a NumPy integer is accepted, a bool or a float is not) of value 0 or 1.
     """
-    check_count(terms, "terms", 1)
-    if check_count(offset, "offset", 0) > 1:
-        raise StructuralError(f"offset must be 0 or 1, got {offset}")
-    dt = float(check_positive(dt, "dt"))   # a NumPy scalar's power overflows to inf, a float's raises
-    coeffs = _series_coefficients(dt, terms, offset)
+    try:
+        coeffs = _series_coefficients(dt, terms, offset)
+    except TypeError:   # an unhashable argument: checked, and refused, uncached
+        coeffs = _series_coefficients.__wrapped__(dt, terms, offset)
     v = check_points(np.asarray(v, dtype=float), "v", finite=False)
     grad = np.asarray(grad, dtype=float)
     if grad.ndim == 2:

@@ -28,9 +28,22 @@ step, the shortened last one included, and holds no earlier cloud.
 ``run`` records every ``output_stride``th cloud of the stream and its last;
 ``convergence_sweep`` builds the start record once for all its cells,
 since they start from the same disc, and one final record per cell.
+
+A step ignores overflow and invalid results, so that an overflow anywhere
+in it reaches its caller once, as a ``NumericInputError`` from a finite
+check, and never as a warning. A stream pays for that once: when it
+starts, ``clouds`` copies the caller's context, sets NumPy's error state
+inside the copy to ignore both (NumPy 2 keeps that state in a context
+variable) and flags the copy as guarded, and then runs each step in it by
+``Context.run``, which costs about a tenth of entering ``np.errstate``.
+The steps keep the caller's other settings as they were when the stream
+started, and the caller's own state never changes. A step called outside
+a stream enters its own ``np.errstate``.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -186,6 +199,17 @@ def initial_cloud(scenario: Scenario, config: RunConfig) -> PointCloud:
     return make_cloud(positions, v, g, dt=config.dt)
 
 
+# True only inside a stream's own context, where ``_guard`` has set NumPy to
+# ignore overflow and invalid results once for all of the stream's steps
+_GUARDED = contextvars.ContextVar("lagmove_step_guarded", default=False)
+_NO_GUARD = contextlib.nullcontext()
+
+
+def _guard() -> None:
+    np.seterr(over="ignore", invalid="ignore")
+    _GUARDED.set(True)
+
+
 def step(
     cloud: PointCloud, scenario: Scenario, config: RunConfig, dt: float | None = None
 ) -> PointCloud:
@@ -194,17 +218,19 @@ def step(
     The points move once, the sum formed in the displacement array the
     mover returned, the field is sampled at the moved positions, and
     ``advance_history`` builds the next cloud from both. The move and the
-    sampling run under one errstate that ignores overflow and invalid
-    results, so an overflow in any scheme or gradient mode is reported
-    once, as a ``NumericInputError``, by a finite check. A given ``dt`` is
-    a shortened step that lands exactly on ``time + dt``: backward differences
+    sampling ignore overflow and invalid results, so an overflow in any
+    scheme or gradient mode is reported once, as a ``NumericInputError``,
+    by a finite check. A given ``dt`` is a shortened step that lands
+    exactly on ``time + dt``: backward differences
     inside the movers keep the regular spacing, only the integration
     interval shrinks, and the returned cloud keeps the original dt and step
     numbering, with its clock pinned to the landing time. The m4 series the
     mover returns is kept for the next step; its (dt, terms) tag keeps a
     shortened step's series from being read by a step of another dt.
+    Inside a stream's guarded context the step enters no errstate of its
+    own; the context already ignores what it would.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _NO_GUARD if _GUARDED.get() else np.errstate(over="ignore", invalid="ignore"):
         disp, series = movers.displacement(config.mover, cloud, dt)
         positions = np.add(disp, cloud.positions, out=disp)
         if dt is None:
@@ -261,15 +287,19 @@ def clouds(scenario: Scenario, config: RunConfig):
     the cloud after each step of ``plan_steps(scenario.t_end, config.dt)``,
     the shortened last step included, its clock pinned to its landing time.
     The plan is checked before the first cloud is built. Only the current
-    cloud is held, so a run's memory does not grow with its steps."""
+    cloud is held, so a run's memory does not grow with its steps. Every
+    step runs in one context guarded when the stream starts, and is looked
+    up on this module at each call; the clouds are yielded outside it."""
     n_full, remainder = plan_steps(scenario.t_end, config.dt)
+    quiet = contextvars.copy_context()
+    quiet.run(_guard)
     cloud = initial_cloud(scenario, config)
     yield cloud
     for _ in range(n_full):
-        cloud = step(cloud, scenario, config)
+        cloud = quiet.run(step, cloud, scenario, config)
         yield cloud
     if remainder > 0.0:
-        cloud = step(cloud, scenario, config, dt=remainder)
+        cloud = quiet.run(step, cloud, scenario, config, dt=remainder)
         yield cloud
 
 

@@ -216,3 +216,33 @@ def test_per_point_locality_commutes_with_permutation():
     via_perm = advance_history(permuted, permuted.positions + disp[perm], newv[perm], newg[perm])
     assert np.array_equal(via_perm.positions, direct.positions[perm])
     assert np.array_equal(via_perm.velocities, direct.velocities[perm])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "where, named",
+    [("positions", "new_positions"), ("velocities", "new_velocities"), ("both", "new_positions")],
+)
+@pytest.mark.parametrize("orders", ["CC", "FC", "CF"])
+def test_one_joint_finite_pass_names_the_array_at_fault(value, where, named, orders):
+    # one pass over both arrays; the scans that name one run only when it fails,
+    # positions first as ever. The pairing of entries across layouts does not matter.
+    cloud = small_cloud(n=5)
+    positions = np.asarray(cloud.positions + 1.0, order=orders[0])
+    velocities = np.asarray(cloud.velocities, order=orders[1])
+    if where in ("positions", "both"):
+        positions[1, 0] = value
+    if where in ("velocities", "both"):
+        velocities[3, 1] = value
+    with pytest.raises(NumericInputError, match=f"^{named} contains non-finite entries$"):
+        advance_history(cloud, positions, velocities, cloud.grad_velocities)
+
+
+def test_finite_rows_whose_products_overflow_pass():
+    # each x_i v_i overflows a double, with both signs; whatever the sum
+    # reads, the two scans then find every entry finite
+    cloud = small_cloud()
+    positions, velocities = np.full((3, 2), 1e200), np.full((3, 2), 1e200)
+    positions[1] *= -1.0
+    out = advance_history(cloud, positions, velocities, cloud.grad_velocities)
+    assert out.positions is positions and out.velocities is velocities

@@ -18,6 +18,7 @@ from lagmove.gfdm import (
     all_gradients,
     wlsq_gradient,
 )
+from lagmove.fields import RigidRotation
 from lagmove.neighbors import NeighborIndex, build_index
 from lagmove.scenarios import sample_disc
 
@@ -335,3 +336,13 @@ def test_neighbor_count_is_read_only_when_a_row_falls_back(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="lagmove.gfdm"):
         all_gradients(pos, vel, index, 0.5)
     assert not fallback_warnings(caplog)
+
+
+def test_a_disc_spaced_past_float_range_is_refused_not_zeroed():
+    # a c overflows past a spacing of about 1e77: det is not finite, and the
+    # fit says so instead of zeroing every row with condition nan
+    positions = sample_disc((0.0, 0.0), 1.0, 222) * 1e100
+    velocities = RigidRotation().evaluate(positions, 0.0)
+    h = 0.3e100
+    with pytest.raises(NumericInputError, match=r"largest stencil trace [0-9.]+e\+198"):
+        all_gradients(positions, velocities, build_index(positions, h), h)

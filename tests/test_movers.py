@@ -346,10 +346,13 @@ def test_series_coefficient_overflow_is_numeric_input_error(dt, terms, offset):
 
 
 def test_series_coefficient_overflow_raises_on_every_call():
-    # the coefficients are cached per (dt, terms, offset); an exception is not
-    for _ in range(3):
-        with pytest.raises(NumericInputError, match="overflows a float"):
-            exp_series_apply(np.zeros((1, 2, 2)), np.ones((1, 2)), 0.05, 200, 1)
+    # the coefficients are cached per (dt, terms, offset); an exception is
+    # not. dt is made a float inside the memo, so a NumPy scalar's power
+    # raises there rather than going to inf
+    for dt, terms, offset in [(0.05, 200, 1), (np.float64(1e100), 50, 0)]:
+        for _ in range(3):
+            with pytest.raises(NumericInputError, match="overflows a float"):
+                exp_series_apply(np.zeros((1, 2, 2)), np.ones((1, 2)), dt, terms, offset)
 
 
 def test_series_numpy_integer_terms_overflow_is_structural_error():
@@ -495,3 +498,42 @@ def test_mover_kind_validation_and_bootstrap():
     assert MoverKind("m2").bootstrap.name == "m1"
     assert MoverKind("m4", 7).bootstrap == MoverKind("m3", 7)
     assert MoverKind("m1").bootstrap.name == "m1"
+
+
+@pytest.mark.parametrize(
+    "dt, terms, offset, error",
+    [(0.1, 0, 0, StructuralError), (0.1, True, 0, StructuralError), (0.1, 2.5, 0, StructuralError),
+     (0.1, 5, 2, StructuralError), (0.0, 5, 0, StructuralError), (-1.0, 5, 0, StructuralError),
+     (np.nan, 5, 0, NumericInputError), ([0.1], 5, 0, StructuralError), (np.array(0.1), 5, 0, StructuralError)],
+    ids=["terms-0", "terms-bool", "terms-float", "offset-2", "dt-0", "dt-negative", "dt-nan",
+         "dt-list", "dt-0d-array"],
+)
+def test_memoized_scalar_checks_raise_on_every_call(dt, terms, offset, error):
+    # the checks run inside the coefficient memo, which caches no exception;
+    # an unhashable argument skips the memo and is refused as before
+    _series_coefficients.cache_clear()
+    raised = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            exp_series_apply(np.zeros((1, 2, 2)), np.ones((1, 2)), dt, terms, offset)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+
+
+def test_scalar_checks_run_once_per_coefficient_set(monkeypatch):
+    checked = []
+    check = movers.check_positive
+
+    def counted(x, what):
+        checked.append(what)
+        return check(x, what)
+
+    monkeypatch.setattr(movers, "check_positive", counted)
+    _series_coefficients.cache_clear()
+    g, v = np.eye(2), np.ones((4, 2))
+    first = exp_series_apply(g, v, 0.05, 5, 1)
+    for _ in range(3):
+        assert np.array_equal(exp_series_apply(g, v, 0.05, 5, 1), first)
+    assert checked == ["dt"]
+    exp_series_apply(g, v, np.float64(0.05), 5, 1)      # typed: another key, checked again
+    assert checked == ["dt", "dt"]

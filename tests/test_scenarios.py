@@ -666,3 +666,110 @@ def test_sweep_cells_are_final_run_records(name, t_end, dts):
     for cell in convergence_sweep(sc, config(), dts):
         final = run(sc, config(cell.mover, cell.dt))[-1]
         assert (cell.eps_dia, cell.eps_x, cell.eps_V) == (final.eps_dia, final.eps_x, final.eps_V)
+
+
+# a distinctive consumer error state: none of its entries is the step's "ignore"
+CONSUMER_ERR = {"divide": "raise", "over": "warn", "under": "print", "invalid": "raise"}
+
+
+class ErrstateSpy:
+    """A field that keeps NumPy's error state at each ``evaluate`` call."""
+
+    def __init__(self, field):
+        self._field = field
+        self.seen = []
+
+    def evaluate(self, x, t):
+        self.seen.append(np.geterr())
+        return self._field.evaluate(x, t)
+
+    def __getattr__(self, name):
+        return getattr(self._field, name)
+
+
+def test_a_stream_leaves_the_consumers_error_state_between_yields_and_after():
+    sc, cfg = make_scenario("modulated-rotation", t_end=0.53), config("m4")
+    with np.errstate(**CONSUMER_ERR):
+        seen = [np.geterr() for _ in clouds(sc, cfg)]
+        after = np.geterr()
+    assert len(seen) == 1 + 11
+    assert all(s == CONSUMER_ERR for s in seen) and after == CONSUMER_ERR
+
+
+@pytest.mark.parametrize("entry", ["run", "sweep"])
+def test_run_and_sweep_leave_the_consumers_error_state(monkeypatch, entry):
+    # a record is taken by the consumer of the stream, between its yields
+    seen = []
+    record = scenarios._record
+
+    def spied(*args):
+        seen.append(np.geterr())
+        return record(*args)
+
+    monkeypatch.setattr(scenarios, "_record", spied)
+    sc = make_scenario("rotation", t_end=0.53)
+    with np.errstate(**CONSUMER_ERR):
+        if entry == "run":
+            run(sc, config("m3", output_stride=2))
+        else:
+            assert not any(c.failed for c in convergence_sweep(sc, config(), [0.1, 0.05]))
+        after = np.geterr()
+    assert len(seen) == {"run": 1 + 5 + 1, "sweep": 1 + 8}[entry]
+    assert all(s == CONSUMER_ERR for s in seen) and after == CONSUMER_ERR
+
+
+@pytest.mark.parametrize("divide", ["ignore", "warn", "raise"])
+@pytest.mark.parametrize("name", movers.MOVER_NAMES)
+def test_every_step_ignores_overflow_and_invalid_and_keeps_the_callers_divide(name, divide):
+    # the stream's one guard is set when it starts, from the caller's state then
+    spy = ErrstateSpy(RigidRotation())
+    sc = replace(make_scenario("rotation", t_end=0.53), field=spy)
+    with np.errstate(all="warn", divide=divide):
+        start = np.geterr()
+        stream = clouds(sc, config(name))
+        next(stream)
+        with np.errstate(divide="print"):       # the caller's later change does not reach the steps
+            for _ in stream:
+                pass
+    assert spy.seen[0] == start                 # the initial cloud is the caller's
+    steps = spy.seen[1:]
+    assert len(steps) == 11
+    assert all(s == {**start, "over": "ignore", "invalid": "ignore"} for s in steps)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["warnings-as-errors", "errstate-raise"])
+def test_a_bare_step_still_reports_an_overflow_as_numeric_input_error(strict):
+    # outside a stream the step enters its own errstate, as it always did
+    sc, cfg = make_scenario("linear-field"), config("m1", dt=100.0)
+    cloud = initial_cloud(sc, cfg)
+    huge = cloud.positions * 1e307
+    cloud = replace(cloud, positions=huge, velocities=sc.field.evaluate(huge, 0.0))
+    with warnings.catch_warnings(), np.errstate(all="raise" if strict else "warn"):
+        warnings.simplefilter("error")
+        before = np.geterr()
+        with pytest.raises(NumericInputError, match="new_positions contains non-finite entries"):
+            step(cloud, sc, cfg)
+        assert np.geterr() == before
+
+
+def test_the_stream_calls_the_module_step_once_per_step(monkeypatch):
+    # looked up by name on every call, so a patched step sees every step
+    calls = []
+
+    def counted(cloud, scenario, cfg, dt=None):
+        calls.append(dt)
+        return step(cloud, scenario, cfg, dt)
+
+    monkeypatch.setattr(scenarios, "step", counted)
+    sc, cfg = make_scenario("rotation", t_end=0.53), config("m4")
+    n_full, remainder = plan_steps(sc.t_end, cfg.dt)
+    assert sum(1 for _ in clouds(sc, cfg)) == 1 + n_full + 1
+    assert calls == [None] * n_full + [remainder]
+
+
+def test_a_numeric_run_refuses_a_disc_too_large_to_fit():
+    # a c overflows past a spacing of about 1e77; the initial cloud's fit says so
+    sc = replace(make_scenario("rotation"), disc_radius=1e100)
+    assert sc.smoothing_length == 0.3e100
+    with pytest.raises(NumericInputError, match="largest stencil trace"):
+        run(sc, config("m3", gradient_mode="numeric"))
