@@ -9,8 +9,9 @@ integral number with a lower bound; none of them is a bool. A center is
 one finite point. ``check_points``, ``check_center``, ``check_real``,
 ``check_positive`` and ``check_count`` are the only places that decide
 this; every malformed input they meet raises a ``StructuralError`` or one
-of its subclasses. A caller may first test several arrays at once by one
-finite sum (``cloud.advance_history`` pairs positions with velocities);
+of its subclasses. A caller may first test its arrays by a sum it forms
+anyway or that covers several at once (``cloud.advance_history`` pairs
+positions with velocities, ``diagnostics.centroid`` reads its column sums);
 only when that sum is not finite does ``check_points`` decide, array by
 array. An arithmetic overflow that a finite input leads to, in a step or
 in a stencil fit, is a ``NumericInputError`` too.

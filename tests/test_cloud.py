@@ -1,5 +1,6 @@
 import tracemalloc
-from dataclasses import fields, replace
+import weakref
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -54,7 +55,9 @@ def test_advance_sets_history_flag():
 
 def test_advance_carries_every_field():
     # a pinned clock (as after a shortened step), a nonzero step and a series: every
-    # field distinct, so a field filled from the wrong source shows
+    # field distinct, so a field filled from the wrong source shows. The cloud is
+    # filled through its __dict__, not the generated __init__, so it is also held
+    # to a constructed one as a frozen dataclass
     rng = np.random.default_rng(1)
     cloud = replace(
         small_cloud(), initial_time=0.37, step=4,
@@ -74,6 +77,12 @@ def test_advance_carries_every_field():
             assert got is want, field.name
         else:
             assert type(got) is type(want) and got == want, field.name
+    assert type(out) is PointCloud and set(vars(out)) == {f.name for f in fields(PointCloud)}
+    assert out == expected and repr(out) == repr(expected)
+    for field in fields(PointCloud):
+        with pytest.raises(FrozenInstanceError):
+            setattr(out, field.name, getattr(out, field.name))
+    assert replace(out, step=9).step == 9 and weakref.ref(out)() is out
 
 
 def test_advance_rejects_series_of_another_size():

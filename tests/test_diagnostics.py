@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -170,13 +171,34 @@ def test_list_positions_rejected():
             fn(SQUARE)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_non_finite_positions_rejected(value):
+@pytest.mark.parametrize(
+    "column", [[1.0, np.nan], [1.0, np.inf], [-np.inf, np.inf]], ids=["nan", "inf", "inf-and-minus-inf"]
+)
+def test_non_finite_positions_rejected(column):
+    # +inf and -inf in one column sum to NaN; the scan still names the entries
     pos = points(SQUARE)
-    pos[2, 0] = value
+    pos[1:3, 0] = column
     for fn in (centroid, measure):
-        with pytest.raises(NumericInputError):
-            fn(pos)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericInputError, match="^positions contains non-finite entries$"):
+                fn(pos)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_centroid_refuses_finite_rows_whose_sum_overflows(layout):
+    # each entry is finite, the column sums are not: one error, no warning
+    pos = np.asarray(np.full((4, 2), 1e308), order=layout)
+    pos[1, 1] = -1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericInputError, match=r"column sums .* magnitude 1e\+308$"):
+            centroid(pos)
+
+
+def test_centroid_of_integer_rows_is_their_mean():
+    got = centroid(np.array([[0, 1], [3, 2], [6, 6]]))
+    assert got.dtype == np.float64 and np.array_equal(got, [3.0, 3.0])
 
 
 # Qhull over rows outside the extreme octagon's inscribed circle, at every

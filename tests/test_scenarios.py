@@ -566,15 +566,23 @@ def test_step_writes_the_move_into_its_own_displacement(mover, mode):
 
 
 def test_one_cloud_per_step(monkeypatch):
-    # the initial cloud, one per step and the clock pin of the shortened last step
+    # the initial cloud, one per step and the clock pin of the shortened last
+    # step; advance_history fills its cloud without __init__, so it is counted
+    # by its calls
     constructed = []
     init = PointCloud.__init__
+    advance = scenarios.advance_history
 
     def counted(self, *args, **kwargs):
         constructed.append(1)
         init(self, *args, **kwargs)
 
+    def counted_advance(*args, **kwargs):
+        constructed.append(1)
+        return advance(*args, **kwargs)
+
     monkeypatch.setattr(PointCloud, "__init__", counted)
+    monkeypatch.setattr(scenarios, "advance_history", counted_advance)
     sc = make_scenario("rotation")
     cfg = config("m4", dt=0.05)
     n_full, remainder = plan_steps(sc.t_end, cfg.dt)
@@ -654,6 +662,19 @@ def test_clouds_stream_the_plan_and_hold_no_earlier_cloud(t_end, last):
         held = weakref.ref(cloud)
     assert steps == list(range(1, last + 1))
     assert abs(cloud.time - sc.t_end) <= 1e-12      # the shortened step lands on t_end
+
+
+def test_a_sweep_cell_whose_final_centroid_overflows_fails_with_its_reason():
+    # m1 on the linear field at dt 1 keeps every position finite to t 1544,
+    # where the column sums overflow; m2 to m4 overflow in a step before it
+    sc = make_scenario("linear-field", t_end=1544.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = convergence_sweep(sc, config(), [1.0])
+    assert [c.mover for c in cells] == list(movers.MOVER_NAMES)
+    assert all(c.failed and math.isnan(c.eps_V) for c in cells)
+    assert cells[0].error.startswith("NumericInputError: the column sums of positions overflow a float")
+    assert all(c.error == "NumericInputError: new_positions contains non-finite entries" for c in cells[1:])
 
 
 @pytest.mark.parametrize(
