@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 runtime/numeric error,
 3 validation failure. Reals in CSV output carry 17 significant digits so
-written values round-trip exactly.
+written values round-trip exactly. --terms defaults to
+``movers.DEFAULT_TERMS``, --gradient and --stride to ``scenarios.RunConfig``'s.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import sys
 from . import scenarios, validate
 from .diagnostics import DiagnosticsRecord
 from .errors import LagmoveError, StructuralError
-from .movers import MOVER_NAMES, MoverKind
+from .movers import DEFAULT_TERMS, MOVER_NAMES, MoverKind
 
 
 def _fmt(x: float) -> str:
@@ -77,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", default="rotation", choices=sorted(scenarios.SCENARIOS))
         p.add_argument("--t-end", type=float, default=None)
-        p.add_argument("--gradient", default="analytic", choices=scenarios.GRADIENT_MODES)
-        p.add_argument("--terms", type=int, default=5)
+        p.add_argument("--gradient", default=scenarios.RunConfig.gradient_mode, choices=scenarios.GRADIENT_MODES)
+        p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
         p.add_argument("--out", default=None)
         p.add_argument("--summary", default=None)
         p.add_argument("--n-points", type=int, default=scenarios.PAPER_N)
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.add_argument("--mover", default="m1", choices=MOVER_NAMES)
     p_run.add_argument("--dt", type=float, required=True)
-    p_run.add_argument("--stride", type=int, default=10)
+    p_run.add_argument("--stride", type=int, default=scenarios.RunConfig.output_stride)
 
     p_sweep = sub.add_parser("sweep", help="cross product of all movers and time steps")
     common(p_sweep)
@@ -97,18 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args, mover: str, dt: float, **kwargs) -> scenarios.RunConfig:
-    return scenarios.RunConfig(
-        mover=MoverKind(mover, args.terms),
-        dt=dt,
-        gradient_mode=args.gradient,
-        **kwargs,
-    )
-
-
 def cmd_run(args) -> int:
     scenario = scenarios.make_scenario(args.scenario, args.n_points, args.t_end)
-    records = scenarios.run(scenario, _config(args, args.mover, args.dt, output_stride=args.stride))
+    config = scenarios.RunConfig(MoverKind(args.mover, args.terms), args.dt, args.gradient, args.stride)
+    records = scenarios.run(scenario, config)
     if args.out:
         write_csv(records, args.out)
     final = records[-1]
@@ -139,8 +132,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--dts: {exc}") from exc
     scenario = scenarios.make_scenario(args.scenario, args.n_points, args.t_end)
-    base = _config(args, "m1", dts[0])
-    cells = scenarios.convergence_sweep(scenario, base, dts)
+    cells = scenarios.convergence_sweep(scenario, dts, args.terms, args.gradient)
     if args.out:
         write_sweep_csv(cells, args.out)
     for c in cells:

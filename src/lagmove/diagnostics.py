@@ -67,17 +67,19 @@ def centroid(positions: np.ndarray) -> np.ndarray:
 
     On a run's column-major positions each column is contiguous, so NumPy
     sums it pairwise, which is at least as accurate as a row-order sum
-    (Higham 1993) and writes no (N, 2) temporary. The positions are
-    checked for shape only; the float sums, taken with overflow and
-    invalid results ignored, are their finite test, since a sum is finite
-    only if every term is. When one is not, ``check_points`` names a
-    non-finite entry, and finite entries whose sum overflows raise a
+    (Higham 1993) and writes no (N, 2) temporary. The sums are taken in
+    float64, so an integer column cannot wrap as its int64 sum would, and
+    a float64 column sums to the same bits as it would unasked. The
+    positions are checked for shape only; the sums, taken with overflow
+    and invalid results ignored, are their finite test, since a sum is
+    finite only if every term is. When one is not, ``check_points`` names
+    a non-finite entry, and finite entries whose sum overflows raise a
     ``NumericInputError`` naming the largest magnitude.
     """
     check_points(positions, "positions", finite=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = positions.sum(axis=0)
-    if sums.dtype.kind == "f" and not np.isfinite(sums).all():
+        sums = positions.sum(axis=0, dtype=float)
+    if not np.isfinite(sums).all():
         check_points(positions, "positions")
         raise NumericInputError(
             f"the column sums of positions overflow a float: "

@@ -96,9 +96,10 @@ class Lissajous(_AffineField):
         return np.zeros((2, 2))
 
     def flow(self, x0: np.ndarray, t: float) -> np.ndarray:
-        """``x0`` translated along ``exact_lissajous_center`` from 0 to t."""
+        """``x0`` translated along ``exact_lissajous_center`` from 0 to t,
+        which starts at exactly (+0, +0)."""
         check_points(x0, "x0", finite=False)
-        return x0 + (exact_lissajous_center(t) - exact_lissajous_center(0.0))
+        return x0 + exact_lissajous_center(t)
 
 
 def exact_lissajous_center(t: float) -> np.ndarray:

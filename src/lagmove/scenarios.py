@@ -26,8 +26,10 @@ A run is a stream of clouds. ``clouds`` is the one loop over a step plan
 (``plan_steps``): it yields the initial cloud, then the cloud after each
 step, the shortened last one included, and holds no earlier cloud.
 ``run`` records every ``output_stride``th cloud of the stream and its last;
-``convergence_sweep`` builds the start record once for all its cells,
-since they start from the same disc, and one final record per cell.
+``convergence_sweep(scenario, dts, terms, gradient_mode)`` builds every
+cell's ``RunConfig`` before the first cell runs, the start record once for
+all its cells, since they start from the same disc, and one final record
+per cell.
 
 A step ignores overflow and invalid results, so that an overflow anywhere
 in it reaches its caller once, as a ``NumericInputError`` from a finite
@@ -136,10 +138,6 @@ def _no_offset(t: float) -> np.ndarray:
     return np.zeros(2)
 
 
-def _lissajous_offset(t: float) -> np.ndarray:
-    return exact_lissajous_center(t) - exact_lissajous_center(0.0)
-
-
 SCENARIOS: dict[str, Scenario] = {
     # unit disc, two full rotations
     "rotation": Scenario(
@@ -148,7 +146,7 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "lissajous": Scenario(
         "lissajous", Lissajous(), PAPER_N, 3.0,
-        exact_diameter=2.0, exact_center_offset=_lissajous_offset,
+        exact_diameter=2.0, exact_center_offset=exact_lissajous_center,
     ),
     # t_end = 10 spans five whole modulation periods. When dt divides the
     # period, a rate frozen at each step's start integrates over them to
@@ -305,17 +303,17 @@ def clouds(scenario: Scenario, config: RunConfig):
 
 def run(scenario: Scenario, config: RunConfig) -> list[diagnostics.DiagnosticsRecord]:
     """Full run to t_end; when dt does not divide t_end the last step is
-    shortened to land exactly on it. Records every ``output_stride``th full
-    step of the stream, and its final cloud, stamped t_end whatever the
-    stride: its clock, step * dt, may differ from t_end in the last bit.
+    shortened to land exactly on it. Records every ``output_stride``th
+    cloud of the stream and its last, which is recorded once and stamped
+    t_end whatever the stride: its clock, step * dt, may differ from t_end
+    in the last bit.
     A plan of no steps has one record, the start, stamped t_end too."""
-    n_full = plan_steps(scenario.t_end, config.dt)[0]
     stream = clouds(scenario, config)
     cloud = next(stream)
     first = _record(cloud, scenario)
     records = [first]
     for cloud in stream:
-        if cloud.step % config.output_stride == 0 and cloud.step <= n_full:
+        if cloud.step % config.output_stride == 0:
             records.append(_record(cloud, scenario, first))
     if records[-1].step != cloud.step:
         records.append(_record(cloud, scenario, first))
@@ -334,32 +332,40 @@ class SweepCell:
     error: str | None = None      # "<type>: <message>" of a failed cell
 
 
-def convergence_sweep(scenario: Scenario, base: RunConfig, dts: list[float]) -> list[SweepCell]:
-    """Cross product of movers and time steps, sorted by (mover, dt). Every
-    dt and its step plan are checked before the first cell runs, and a dt
-    listed twice is rejected there too; a cell failing with a package error
+def convergence_sweep(
+    scenario: Scenario, dts: list[float], terms: int = movers.DEFAULT_TERMS,
+    gradient_mode: str = RunConfig.gradient_mode,
+) -> list[SweepCell]:
+    """Cross product of movers and time steps, sorted by (mover, dt), each
+    mover's series truncated after ``terms`` terms. Every dt and its step
+    plan are checked, no dt or a dt listed twice is rejected, and every
+    cell's ``RunConfig`` is built, checking the term count and gradient
+    mode, before the first cell runs; a cell failing with a package error
     while it runs is marked with the reason and the sweep continues. Every
-    cell starts from the same positions, so the start record is built once,
-    by the first cell that gets there, and each cell then measures only the
-    last cloud of its stream."""
+    cell starts from the same positions, so the start record is built
+    once, by the first cell that gets there, and each cell then measures
+    only the last cloud of its stream."""
+    if not dts:
+        raise StructuralError("a sweep needs at least one dt")
     for i, dt in enumerate(dts):
         if dt in dts[:i]:
             raise StructuralError(f"dt {dt!r} is listed more than once")
         plan_steps(scenario.t_end, check_positive(dt, "dt"))
+    configs = [RunConfig(movers.MoverKind(name, terms), dt, gradient_mode)
+               for name in movers.MOVER_NAMES for dt in sorted(dts)]
     cells, first = [], None
-    for name in movers.MOVER_NAMES:
-        mover = movers.MoverKind(name, base.mover.terms)
-        for dt in sorted(dts):
-            stream = clouds(scenario, replace(base, mover=mover, dt=dt))
-            try:
-                cloud = next(stream)
-                if first is None:
-                    first = _record(cloud, scenario)
-                for cloud in stream:
-                    pass
-                final = _record(cloud, scenario, first)
-                cells.append(SweepCell(name, dt, final.eps_dia, final.eps_x, final.eps_V))
-            except LagmoveError as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                cells.append(SweepCell(name, dt, np.nan, np.nan, np.nan, failed=True, error=error))
+    for config in configs:
+        name, dt = config.mover.name, config.dt
+        stream = clouds(scenario, config)
+        try:
+            cloud = next(stream)
+            if first is None:
+                first = _record(cloud, scenario)
+            for cloud in stream:
+                pass
+            final = _record(cloud, scenario, first)
+            cells.append(SweepCell(name, dt, final.eps_dia, final.eps_x, final.eps_V))
+        except LagmoveError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            cells.append(SweepCell(name, dt, np.nan, np.nan, np.nan, failed=True, error=error))
     return cells

@@ -81,7 +81,7 @@ def test_criterion_3_m3_disc_accuracy():
 def test_criterion_4_two_orders_of_magnitude():
     t0 = time.time()
     sc = make_scenario("rotation")
-    cells = convergence_sweep(sc, config("m1", 0.2), [0.2, 0.1, 0.05, 0.025])
+    cells = convergence_sweep(sc, [0.2, 0.1, 0.05, 0.025])
     eps = {(c.mover, c.dt): c.eps_dia for c in cells}
     m1_small = eps[("m1", 0.025)]
     others_small = max(eps[("m2", 0.025)], eps[("m3", 0.025)], eps[("m4", 0.025)])

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -33,6 +34,18 @@ def test_parse_run_args():
     assert args.mover == "m3"
     assert args.dt == 0.05
     assert args.terms == 5
+
+
+def test_parser_defaults_are_read_from_their_owners():
+    parser = cli.build_parser()
+    run_args = parser.parse_args(["run", "--dt", "0.1"])
+    sweep_args = parser.parse_args(["sweep", "--dts", "0.1"])
+    config = scenarios.RunConfig(movers.MoverKind("m1"), 0.1)
+    sweep = inspect.signature(scenarios.convergence_sweep).parameters
+    for args in (run_args, sweep_args):
+        assert args.terms == movers.DEFAULT_TERMS == config.mover.terms == sweep["terms"].default
+        assert args.gradient == config.gradient_mode == sweep["gradient_mode"].default
+    assert run_args.stride == config.output_stride
 
 
 def test_parse_bad_mover_is_usage_error(capsys):
@@ -132,8 +145,7 @@ def test_sweep_summary_is_the_cells(tmp_path):
     summary = tmp_path / "sweep.json"
     argv = ["sweep", "--terms", "200", "--dts", "0.2,0.1", "--t-end", "1.0", "--n-points", "60"]
     assert cli.main(argv + ["--summary", str(summary)]) == 0
-    base = scenarios.RunConfig(mover=movers.MoverKind("m1", 200), dt=0.2)
-    cells = scenarios.convergence_sweep(scenarios.make_scenario("rotation", 60, 1.0), base, [0.2, 0.1])
+    cells = scenarios.convergence_sweep(scenarios.make_scenario("rotation", 60, 1.0), [0.2, 0.1], terms=200)
     payload = json.loads(summary.read_text())
     names = [f.name for f in dataclasses.fields(scenarios.SweepCell)]
     assert [list(c) for c in payload] == [names] * 8

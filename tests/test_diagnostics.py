@@ -47,9 +47,11 @@ def test_centroid_is_the_exactly_rounded_mean_within_a_bound(n):
     pos = rng.normal(size=(n, 2)) * 300.0 + [7.0, -3.0]
     exact = np.array([math.fsum(pos[:, k]) / n for k in range(2)])
     bound = n * np.finfo(float).eps * np.abs(pos).max()
-    # a C-ordered array and a run's column-major positions
+    # a C-ordered array and a run's column-major positions, each the bits of
+    # NumPy's own column sums
     for layout in (pos, np.asfortranarray(pos)):
         assert np.all(np.abs(centroid(layout) - exact) <= bound)
+        assert np.array_equal(centroid(layout), layout.sum(axis=0) / n)
 
 
 def test_centroid_translates_exactly():
@@ -199,6 +201,9 @@ def test_centroid_refuses_finite_rows_whose_sum_overflows(layout):
 def test_centroid_of_integer_rows_is_their_mean():
     got = centroid(np.array([[0, 1], [3, 2], [6, 6]]))
     assert got.dtype == np.float64 and np.array_equal(got, [3.0, 3.0])
+    # the x column's int64 sum, 2**63, would wrap to -2**63
+    got = centroid(np.array([[2**62, 0], [2**62, 0], [0, 1]]))
+    assert np.array_equal(got, [2.0**63 / 3, 1.0 / 3])
 
 
 # Qhull over rows outside the extreme octagon's inscribed circle, at every

@@ -77,7 +77,8 @@ def test_lissajous_gradient_is_zero():
 
 
 def test_lissajous_exact_center_endpoints():
-    assert np.allclose(exact_lissajous_center(0.0), [0.0, 0.0], atol=1e-15)
+    start = exact_lissajous_center(0.0)      # (+0, +0): the row's centroid offset from 0
+    assert np.array_equal(start, [0.0, 0.0]) and not np.signbit(start).any()
     assert np.allclose(exact_lissajous_center(2 * np.pi), [0.0, 0.0], atol=1e-13)
 
 

@@ -196,6 +196,18 @@ def test_final_record_is_stamped_t_end_at_any_stride(stride):
     assert [r.step for r in records] == sorted({0, 3, *range(0, 4, stride)})
 
 
+@pytest.mark.parametrize("stride, steps", [(1, list(range(11))), (5, [0, 5, 10]), (10, [0, 10])])
+def test_a_shortened_last_step_on_the_stride_is_recorded_once(stride, steps):
+    # 9 full steps of 0.1, then a step of 0.05 numbered 10: at strides 5 and
+    # 10 the stream's stride record of it is also its final record
+    sc = make_scenario("rotation", t_end=0.95)
+    records = run(sc, config("m1", dt=0.1, output_stride=stride))
+    assert [r.step for r in records] == steps and records[-1].time == 0.95
+    final = run(sc, config("m1", dt=0.1, output_stride=1))[-1]
+    assert np.array_equal(records[-1].centroid, final.centroid)
+    assert (records[-1].eps_dia, records[-1].eps_x, records[-1].eps_V) == (final.eps_dia, final.eps_x, final.eps_V)
+
+
 def test_a_plan_of_no_steps_records_the_start_stamped_t_end():
     # a t_end within rounding of 0 plans no step: the one record is the start
     records = run(make_scenario("rotation", t_end=1e-13), config("m1", dt=0.1))
@@ -625,7 +637,7 @@ def test_paper_sweep_builds_one_start_hull_and_one_per_cell(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(diagnostics, "ConvexHull", counted)
-    cells = convergence_sweep(make_scenario("rotation"), config(), PAPER_DTS)
+    cells = convergence_sweep(make_scenario("rotation"), PAPER_DTS)
     assert len(cells) == 16
     assert len(hulls) == 1 + 16
 
@@ -640,7 +652,7 @@ def test_a_failed_start_record_fails_every_cell_alike(monkeypatch):
         raise DegenerateGeometryError("degenerate point set: flat")
 
     monkeypatch.setattr(diagnostics, "measure", flat)
-    cells = convergence_sweep(make_scenario("rotation"), config(), PAPER_DTS)
+    cells = convergence_sweep(make_scenario("rotation"), PAPER_DTS)
     assert len(cells) == len(calls) == 16 and all(c.failed for c in cells)
     assert {c.error for c in cells} == {"DegenerateGeometryError: degenerate point set: flat"}
     assert np.isnan([[c.eps_dia, c.eps_x, c.eps_V] for c in cells]).all()
@@ -670,11 +682,38 @@ def test_a_sweep_cell_whose_final_centroid_overflows_fails_with_its_reason():
     sc = make_scenario("linear-field", t_end=1544.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cells = convergence_sweep(sc, config(), [1.0])
+        cells = convergence_sweep(sc, [1.0])
     assert [c.mover for c in cells] == list(movers.MOVER_NAMES)
     assert all(c.failed and math.isnan(c.eps_V) for c in cells)
     assert cells[0].error.startswith("NumericInputError: the column sums of positions overflow a float")
     assert all(c.error == "NumericInputError: new_positions contains non-finite entries" for c in cells[1:])
+
+
+@pytest.mark.parametrize(
+    "dts, kwargs, message",
+    [
+        ([0.1], {"terms": 0}, "series term count must be >= 1, got 0"),
+        ([0.1], {"gradient_mode": "bogus"}, "unknown gradient mode 'bogus'"),
+        ([0.1, 0.05, 0.1], {}, "dt 0.1 is listed more than once"),
+        ([0.1, 0.0], {}, "dt must be positive, got 0.0"),
+        ([], {"terms": 0}, "a sweep needs at least one dt"),
+    ],
+    ids=["terms-0", "bogus-mode", "repeated-dt", "zero-dt", "no-dt"],
+)
+def test_a_sweep_refuses_bad_inputs_before_it_builds_a_cloud(monkeypatch, dts, kwargs, message):
+    calls = []
+    original = scenarios.initial_cloud
+
+    def counted(scenario, config):
+        calls.append(config)
+        return original(scenario, config)
+
+    monkeypatch.setattr(scenarios, "initial_cloud", counted)
+    sc = make_scenario("rotation", t_end=0.3)
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        convergence_sweep(sc, dts, **kwargs)
+    assert calls == []
+    assert len(convergence_sweep(sc, [0.1])) == len(calls) == 4    # the spy sees every cell
 
 
 @pytest.mark.parametrize(
@@ -684,7 +723,7 @@ def test_a_sweep_cell_whose_final_centroid_overflows_fails_with_its_reason():
 )
 def test_sweep_cells_are_final_run_records(name, t_end, dts):
     sc = make_scenario(name) if t_end is None else make_scenario(name, t_end=t_end)
-    for cell in convergence_sweep(sc, config(), dts):
+    for cell in convergence_sweep(sc, dts):
         final = run(sc, config(cell.mover, cell.dt))[-1]
         assert (cell.eps_dia, cell.eps_x, cell.eps_V) == (final.eps_dia, final.eps_x, final.eps_V)
 
@@ -733,7 +772,7 @@ def test_run_and_sweep_leave_the_consumers_error_state(monkeypatch, entry):
         if entry == "run":
             run(sc, config("m3", output_stride=2))
         else:
-            assert not any(c.failed for c in convergence_sweep(sc, config(), [0.1, 0.05]))
+            assert not any(c.failed for c in convergence_sweep(sc, [0.1, 0.05]))
         after = np.geterr()
     assert len(seen) == {"run": 1 + 5 + 1, "sweep": 1 + 8}[entry]
     assert all(s == CONSUMER_ERR for s in seen) and after == CONSUMER_ERR
